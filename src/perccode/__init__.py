@@ -55,7 +55,6 @@ from .percolate import (
     RNG_VERSION,
     Cluster,
     GenerationTally,
-    Node,
     cluster_stream,
     sample_cluster,
     sample_tally,

@@ -33,12 +33,20 @@ def _log_invocation(name: str, args: argparse.Namespace) -> None:
     print(f"[perccode {name}] rng={RNG_VERSION} {params}", file=sys.stderr)
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path is None:
+def _emit(text: str, path: str | None) -> None:
+    if path is None:
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", encoding="ascii", newline="") as fh:
+        with open(path, "w", encoding="ascii", newline="") as fh:
             fh.write(text)
+
+
+def _json_too_deep() -> ValueError:
+    # the json module recurses once per nesting level of a document
+    return ValueError(
+        "cluster JSON nests deeper than Python's json module can follow "
+        f"(about {sys.getrecursionlimit()} levels, the recursion limit)"
+    )
 
 
 def _analytic_table(p: float) -> dict:
@@ -80,14 +88,22 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     if args.format == "dot":
         _emit(percolate.cluster_to_dot(cluster), args.out)
     else:
-        _emit(json.dumps(percolate.cluster_to_json(cluster), indent=2) + "\n", args.out)
+        try:
+            text = json.dumps(percolate.cluster_to_json(cluster), indent=2)
+        except RecursionError:
+            raise _json_too_deep() from None
+        _emit(text + "\n", args.out)
     return 0
 
 
 def _cmd_codebook(args: argparse.Namespace) -> int:
     if args.cluster is not None:
         with open(args.cluster, "r", encoding="ascii") as fh:
-            cluster = percolate.cluster_from_json(json.load(fh))
+            try:
+                doc = json.load(fh)
+            except RecursionError:
+                raise _json_too_deep() from None
+        cluster = percolate.cluster_from_json(doc)
     else:
         cluster = _sample_cluster_from_args(args)
     book = codec.extract_codebook(cluster)
@@ -121,7 +137,7 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = ensemble.EnsembleConfig(
-        p_values=args.p if args.p is not None else [],
+        p_values=args.p,
         depths=args.depth if args.depth is not None else [8],
         samples=args.samples,
         seed=args.seed,
@@ -240,6 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "sweep" and not args.p:
+        parser.error("sweep needs at least one --p")
     _log_invocation(args.command, args)
     try:
         return args.func(args)

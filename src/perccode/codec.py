@@ -53,18 +53,20 @@ class CodeBook:
 def extract_codebook(cluster: Cluster) -> CodeBook:
     """Collect one codeword per leaf (childless node above the depth bound)."""
     words = []
-    stack = [(cluster.root, "")]
-    while stack:
-        node, path = stack.pop()
-        if node.is_childless():
-            # same leaf rule as percolate.tally: depth-bound nodes never count
-            if node.gen < cluster.depth_bound:
+    level = [""]
+    # nodes at the depth bound carry no flags, so they never count as
+    # leaves: the same rule as percolate.tally
+    for flags in cluster.opens:
+        flags = flags.tolist()
+        children = []
+        for path, left, right in zip(level, flags[0::2], flags[1::2]):
+            if left:
+                children.append(path + "0")
+            if right:
+                children.append(path + "1")
+            if not (left or right):
                 words.append(path)
-            continue
-        if node.left is not None:
-            stack.append((node.left, path + "0"))
-        if node.right is not None:
-            stack.append((node.right, path + "1"))
+        level = children
     return CodeBook(words=tuple(sorted(words)))
 
 
@@ -151,7 +153,15 @@ def symbol_labels(book: CodeBook) -> list[str]:
 
 def format_codebook(book: CodeBook, weights: list[float] | None = None) -> str:
     """Stable text form: one codeword per line, lexicographic order, with an
-    optional second column holding the normalized probability."""
+    optional second column holding the normalized probability.
+
+    The root-only book holds just the empty codeword, which this form cannot
+    write: its line would be blank, or a bare weight."""
+    if "" in book.words:
+        raise ValueError(
+            "the code book of a root-only cluster is the empty codeword, "
+            "which the text form cannot hold"
+        )
     if weights is None:
         return "".join(w + "\n" for w in book.words)
     if len(weights) != len(book.words):

@@ -70,8 +70,6 @@ class EnsembleConfig:
     depths: list[int]
     samples: int
     seed: int
-    out_path: str | None = None
-    rng_version: str = RNG_VERSION
 
     def __post_init__(self):
         if self.samples < 1:
@@ -211,9 +209,9 @@ def _cell(value: float | None) -> str:
     return "" if value is None else repr(value)
 
 
-def write_csv(rows: list[EnsembleStats], out, rng_version: str = RNG_VERSION) -> None:
+def write_csv(rows: list[EnsembleStats], out) -> None:
     """Emit the fixed-column CSV (leading comment row carries the RNG tag)."""
-    out.write(f"# rng_version={rng_version}\n")
+    out.write(f"# rng_version={RNG_VERSION}\n")
     out.write(",".join(CSV_COLUMNS) + "\n")
     for r in rows:
         fields = [
@@ -237,7 +235,7 @@ def write_csv(rows: list[EnsembleStats], out, rng_version: str = RNG_VERSION) ->
 
 
 def sweep(config: EnsembleConfig, threads: int = 1, log=sys.stderr) -> list[EnsembleStats]:
-    """Run every (p, depth) cell of the grid; write CSV when configured."""
+    """Run every (p, depth) cell of the grid."""
     rows = []
     for p in config.p_values:
         params = ModelParams(p)
@@ -250,14 +248,11 @@ def sweep(config: EnsembleConfig, threads: int = 1, log=sys.stderr) -> list[Ense
                     f"[sweep] p={p} depth={depth} samples={config.samples} done",
                     file=log,
                 )
-    if config.out_path is not None:
-        with open(config.out_path, "w", encoding="ascii", newline="") as fh:
-            write_csv(rows, fh, rng_version=config.rng_version)
     return rows
 
 
-def csv_text(rows: list[EnsembleStats], rng_version: str = RNG_VERSION) -> str:
+def csv_text(rows: list[EnsembleStats]) -> str:
     """CSV as a string (handy for stdout emission and byte-level tests)."""
     buf = io.StringIO()
-    write_csv(rows, buf, rng_version=rng_version)
+    write_csv(rows, buf)
     return buf.getvalue()

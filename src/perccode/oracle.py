@@ -20,11 +20,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import convolve2d
 
 from .analytic import ModelParams
 from .infomeasure import measures
-from .percolate import Cluster, Node, tally
+from .percolate import Cluster, tally
 
 __all__ = [
     "SizeError",
@@ -148,35 +147,35 @@ def joint_leaf_distribution(params: ModelParams, n: int) -> JointDist:
     inner[2, 1] = 2.0 * p * p * u0 * u1
     inner[2, 2] = p * p * u1 * u1
     outer = node_distribution(params, n - 1).probs
-    # Horner evaluation of the outer polynomial at the bivariate inner one
+    # Horner evaluation of the outer polynomial at the bivariate inner one;
+    # each step multiplies by inner, a full 2-D convolution done as nine
+    # shifted adds
     acc = np.array([[outer[-1]]])
     for c in outer[-2::-1]:
-        acc = convolve2d(acc, inner)
+        rows, cols = acc.shape
+        product = np.zeros((rows + 2, cols + 2))
+        for j in range(3):
+            for i in range(3):
+                product[j : j + rows, i : i + cols] += inner[j, i] * acc
+        acc = product
         acc[0, 0] += c
     return JointDist(generation=n, probs=acc)
 
 
-def _heap_generation(k: int) -> int:
-    return (k + 1).bit_length() - 1
-
-
 def _cluster_from_mask(mask: int, depth: int) -> Cluster:
-    """Root cluster of one full edge assignment; edge 2m/2m+1 is the
-    left/right edge of heap-indexed node m, open iff its bit is set."""
-    root = Node(0)
-    queue = [(0, root)]
-    while queue:
-        k, node = queue.pop()
-        gen = node.gen
-        if gen >= depth:
-            continue
-        if (mask >> (2 * k)) & 1:
-            node.left = Node(gen + 1)
-            queue.append((2 * k + 1, node.left))
-        if (mask >> (2 * k + 1)) & 1:
-            node.right = Node(gen + 1)
-            queue.append((2 * k + 2, node.right))
-    return Cluster(depth_bound=depth, root=root)
+    """Root cluster of one full edge assignment; edge 2k/2k+1 is the
+    left/right edge of heap-indexed node k, open iff its bit is set, and
+    leads to node 2k+1/2k+2, one past the edge's own index."""
+    opens = []
+    live = [0]
+    for _ in range(depth):
+        edges = [e for k in live for e in (2 * k, 2 * k + 1)]
+        flags = [(mask >> e) & 1 for e in edges]
+        opens.append(np.array(flags, dtype=bool))
+        live = [e + 1 for e, is_open in zip(edges, flags) if is_open]
+        if not live:
+            break
+    return Cluster(depth_bound=depth, opens=opens)
 
 
 def exact_enumeration(params: ModelParams, depth: int) -> ExactStats:
@@ -196,29 +195,23 @@ def exact_enumeration(params: ModelParams, depth: int) -> ExactStats:
     pow_q = [q**k for k in range(n_edges + 1)]
 
     n_configs = 1 << n_edges
-    weights = np.empty(n_configs)
-    nodes = np.empty((n_configs, depth + 1))
-    leaves = np.empty((n_configs, depth))
-    lams = np.empty(n_configs)
-    entropies = np.full(n_configs, np.nan)
-    lengths = np.full(n_configs, np.nan)
-    max_nodes = [2**g for g in range(depth + 1)]
-    node_hist = [np.zeros(m + 1) for m in max_nodes]
-
-    for mask in range(n_configs):
-        open_count = mask.bit_count()
-        w = pow_p[open_count] * pow_q[n_edges - open_count]
-        weights[mask] = w
-        t = tally(_cluster_from_mask(mask, depth))
-        nodes[mask] = t.node_counts
-        leaves[mask] = t.leaf_counts
-        for gen, count in enumerate(t.node_counts):
-            node_hist[gen][count] += w
-        m = measures(t, p)
-        lams[mask] = m.normalization
-        if m.entropy_bits is not None:
-            entropies[mask] = m.entropy_bits
-            lengths[mask] = m.avg_length
+    opened = [mask.bit_count() for mask in range(n_configs)]
+    weights = np.array([pow_p[k] * pow_q[n_edges - k] for k in opened])
+    tallies = [tally(_cluster_from_mask(mask, depth)) for mask in range(n_configs)]
+    measured = [measures(t, p) for t in tallies]
+    nodes = np.array([t.node_counts for t in tallies], dtype=float)
+    leaves = np.array([t.leaf_counts for t in tallies], dtype=float)
+    lams = np.array([m.normalization for m in measured])
+    # entropy and length are None together, where Lambda = 0; NaN marks them
+    entropies = np.array(
+        [math.nan if m.entropy_bits is None else m.entropy_bits for m in measured]
+    )
+    lengths = np.array([math.nan if m.avg_length is None else m.avg_length for m in measured])
+    # bincount adds the weights in mask order, one configuration at a time
+    node_hist = [
+        np.bincount(nodes[:, g].astype(np.intp), weights=weights, minlength=2**g + 1)
+        for g in range(depth + 1)
+    ]
 
     def wmean(values: np.ndarray) -> float:
         return math.fsum((weights * values).tolist())

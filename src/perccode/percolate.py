@@ -3,8 +3,8 @@
 A cluster is grown generation by generation: each node of generation
 ``g < depth_bound`` keeps its left and right edge open independently with
 probability ``p``, and open edges spawn child nodes.  Off-cluster parts of
-the tree are never materialized.  Nodes sitting exactly at ``depth_bound``
-spawn nothing and are never counted as leaves.
+the tree are never materialized.  A node sitting exactly at ``depth_bound``
+spawns nothing and never counts as a leaf.
 
 Randomness comes from counter-based streams: sample ``i`` of master seed
 ``s`` draws from an independent Philox stream keyed by ``(s, i)``, so a
@@ -25,7 +25,6 @@ from .analytic import ModelParams
 
 __all__ = [
     "RNG_VERSION",
-    "Node",
     "Cluster",
     "GenerationTally",
     "cluster_stream",
@@ -43,24 +42,22 @@ __all__ = [
 RNG_VERSION = "philox-key64x2/v1"
 
 
-@dataclass
-class Node:
-    """One cluster node: its generation and the two child slots."""
-
-    gen: int
-    left: "Node | None" = None
-    right: "Node | None" = None
-
-    def is_childless(self) -> bool:
-        return self.left is None and self.right is None
-
-
-@dataclass
+# compared by identity: a generated == on lists of arrays would raise
+@dataclass(eq=False)
 class Cluster:
-    """A root-anchored open cluster truncated at ``depth_bound``."""
+    """A root-anchored open cluster truncated at ``depth_bound``, stored
+    level by level.
+
+    ``opens[g]`` is a contiguous boolean array holding two flags per node of
+    generation ``g``, nodes in breadth-first order, each node's left edge
+    before its right: the order in which the sampler draws them.  The
+    nodes of generation ``g + 1`` are the open edges of ``opens[g]``, in
+    order.  There is one array for each generation below ``depth_bound``
+    that has nodes, so the list ends early when the cluster dies out.
+    """
 
     depth_bound: int
-    root: Node
+    opens: list[np.ndarray]
 
 
 @dataclass
@@ -90,50 +87,21 @@ def sample_cluster(params: ModelParams, depth_bound: int, stream) -> Cluster:
     if depth_bound < 0:
         raise ValueError(f"depth_bound must be >= 0, got {depth_bound}")
     p = params.p
-    root = Node(0)
-    frontier = [root]
-    for gen in range(depth_bound):
-        u = stream.random(2 * len(frontier))
-        nxt = []
-        for i, node in enumerate(frontier):
-            if u[2 * i] < p:
-                node.left = Node(gen + 1)
-                nxt.append(node.left)
-            if u[2 * i + 1] < p:
-                node.right = Node(gen + 1)
-                nxt.append(node.right)
-        if not nxt:
+    opens = []
+    count = 1
+    for _ in range(depth_bound):
+        flags = stream.random(2 * count) < p
+        opens.append(flags)
+        count = int(np.count_nonzero(flags))
+        if count == 0:
             break
-        frontier = nxt
-    return Cluster(depth_bound=depth_bound, root=root)
+    return Cluster(depth_bound=depth_bound, opens=opens)
 
 
 def sample_tally(params: ModelParams, depth_bound: int, stream) -> GenerationTally:
-    """Tally-only sampler consuming the stream exactly like ``sample_cluster``.
-
-    Used by the ensemble hot path when cluster geometry is not needed;
-    ``tally(sample_cluster(...))`` on an identically keyed stream gives a
-    bit-identical result (property-tested).
-    """
-    if depth_bound < 0:
-        raise ValueError(f"depth_bound must be >= 0, got {depth_bound}")
-    p = params.p
-    node_counts = [0] * (depth_bound + 1)
-    leaf_counts = [0] * depth_bound
-    node_counts[0] = 1
-    count = 1
-    for gen in range(depth_bound):
-        opens = stream.random(2 * count) < p
-        left = opens[0::2]
-        right = opens[1::2]
-        leaf_counts[gen] = int(np.count_nonzero(~(left | right)))
-        count = int(np.count_nonzero(opens))
-        node_counts[gen + 1] = count
-        if count == 0:
-            break
-    return GenerationTally(
-        depth_bound=depth_bound, node_counts=node_counts, leaf_counts=leaf_counts
-    )
+    """Per-generation counts of one sampled cluster:
+    ``tally(sample_cluster(params, depth_bound, stream))``."""
+    return tally(sample_cluster(params, depth_bound, stream))
 
 
 def tally(cluster: Cluster) -> GenerationTally:
@@ -141,16 +109,14 @@ def tally(cluster: Cluster) -> GenerationTally:
     depth = cluster.depth_bound
     node_counts = [0] * (depth + 1)
     leaf_counts = [0] * depth
-    stack = [cluster.root]
-    while stack:
-        node = stack.pop()
-        node_counts[node.gen] += 1
-        if node.gen < depth and node.is_childless():
-            leaf_counts[node.gen] += 1
-        if node.left is not None:
-            stack.append(node.left)
-        if node.right is not None:
-            stack.append(node.right)
+    node_counts[0] = 1
+    for gen, flags in enumerate(cluster.opens):
+        count = len(flags) // 2
+        node_counts[gen] = count
+        # a node's two flags read as one 16-bit word are nonzero iff it has a child
+        leaf_counts[gen] = count - int(np.count_nonzero(flags.view(np.uint16)))
+    if cluster.opens:
+        node_counts[len(cluster.opens)] = int(np.count_nonzero(cluster.opens[-1]))
     return GenerationTally(
         depth_bound=depth, node_counts=node_counts, leaf_counts=leaf_counts
     )
@@ -161,64 +127,70 @@ def survived(t: GenerationTally) -> bool:
     return t.node_counts[t.depth_bound] > 0
 
 
-def _node_to_json(node: Node) -> dict:
-    doc: dict = {"gen": node.gen}
-    if node.left is not None:
-        doc["left"] = _node_to_json(node.left)
-    if node.right is not None:
-        doc["right"] = _node_to_json(node.right)
-    return doc
-
-
 def cluster_to_json(cluster: Cluster) -> dict:
     """JSON-serializable cluster dump: depth bound plus the recursive
     ``{gen, left?, right?}`` node structure (absent child => absent key)."""
-    return {
-        "depth_bound": cluster.depth_bound,
-        "root": _node_to_json(cluster.root),
-    }
-
-
-def _node_from_json(doc: dict, gen: int, depth_bound: int) -> Node:
-    if not isinstance(doc, dict):
-        raise ValueError(f"cluster node must be an object, got {type(doc).__name__}")
-    if gen > depth_bound:
-        raise ValueError(f"cluster node at generation {gen} exceeds depth bound {depth_bound}")
-    declared = doc.get("gen", gen)
-    if declared != gen:
-        raise ValueError(f"node declares generation {declared} but sits at {gen}")
-    node = Node(gen)
-    if "left" in doc:
-        node.left = _node_from_json(doc["left"], gen + 1, depth_bound)
-    if "right" in doc:
-        node.right = _node_from_json(doc["right"], gen + 1, depth_bound)
-    return node
+    root = {"gen": 0}
+    level = [root]
+    for gen, flags in enumerate(cluster.opens, start=1):
+        flags = flags.tolist()
+        children = []
+        for node, left, right in zip(level, flags[0::2], flags[1::2]):
+            for side, is_open in (("left", left), ("right", right)):
+                if is_open:
+                    node[side] = child = {"gen": gen}
+                    children.append(child)
+        level = children
+    return {"depth_bound": cluster.depth_bound, "root": root}
 
 
 def cluster_from_json(doc: dict) -> Cluster:
     """Parse and validate a cluster dump produced by ``cluster_to_json``."""
     try:
         depth_bound = int(doc["depth_bound"])
-        root_doc = doc["root"]
+        root = doc["root"]
     except (KeyError, TypeError) as exc:
         raise ValueError("cluster document needs 'depth_bound' and 'root'") from exc
     if depth_bound < 0:
         raise ValueError(f"depth_bound must be >= 0, got {depth_bound}")
-    return Cluster(depth_bound=depth_bound, root=_node_from_json(root_doc, 0, depth_bound))
+    opens = []
+    level = [root]
+    while level:
+        gen = len(opens)
+        for node in level:
+            if not isinstance(node, dict):
+                raise ValueError(
+                    f"cluster node must be an object, got {type(node).__name__}"
+                )
+            declared = node.get("gen", gen)
+            if declared != gen:
+                raise ValueError(f"node declares generation {declared} but sits at {gen}")
+        flags = [side in node for node in level for side in ("left", "right")]
+        if gen == depth_bound:
+            if any(flags):
+                raise ValueError(
+                    f"cluster node at generation {gen + 1} exceeds depth bound {depth_bound}"
+                )
+            break
+        opens.append(np.array(flags, dtype=bool))
+        level = [node[side] for node in level for side in ("left", "right") if side in node]
+    return Cluster(depth_bound=depth_bound, opens=opens)
 
 
 def cluster_to_dot(cluster: Cluster) -> str:
     """DOT rendering for graph viewers; node names are root-to-node paths."""
     lines = ["digraph cluster {", "  node [shape=circle];", '  "" [label="root"];']
-    stack: list[tuple[Node, str]] = [(cluster.root, "")]
-    while stack:
-        node, path = stack.pop()
-        for bit, child in (("0", node.left), ("1", node.right)):
-            if child is None:
-                continue
-            child_path = path + bit
-            lines.append(f'  "{child_path}" [label="{child_path}"];')
-            lines.append(f'  "{path}" -> "{child_path}" [label="{bit}"];')
-            stack.append((child, child_path))
+    level = [""]
+    for flags in cluster.opens:
+        flags = flags.tolist()
+        children = []
+        for path, left, right in zip(level, flags[0::2], flags[1::2]):
+            for bit, is_open in (("0", left), ("1", right)):
+                if is_open:
+                    child = path + bit
+                    lines.append(f'  "{child}" [label="{child}"];')
+                    lines.append(f'  "{path}" -> "{child}" [label="{bit}"];')
+                    children.append(child)
+        level = children
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from perccode.percolate import Cluster, Node
+from perccode.percolate import Cluster
 
 # Hand-checked seven-leaf cluster at depth bound 5.  Its tally is
 # N = [1, 2, 4, 4, 5, 0], L = [0, 0, 1, 1, 5]; the words are exactly the
@@ -16,19 +16,16 @@ SEVEN_LEAF_DEPTH = 5
 
 def cluster_from_codewords(words, depth_bound: int) -> Cluster:
     """Build the prefix closure of a prefix-free word set as a cluster."""
-    root = Node(0)
-    for word in words:
-        node = root
-        for gen, bit in enumerate(word, start=1):
-            if bit == "0":
-                if node.left is None:
-                    node.left = Node(gen)
-                node = node.left
-            else:
-                if node.right is None:
-                    node.right = Node(gen)
-                node = node.right
-    return Cluster(depth_bound=depth_bound, root=root)
+    nodes = {word[:n] for word in words for n in range(len(word) + 1)}
+    opens = []
+    level = [""]
+    for _ in range(depth_bound):
+        flags = [path + bit in nodes for path in level for bit in "01"]
+        opens.append(np.array(flags, dtype=bool))
+        level = [path + bit for path in level for bit in "01" if path + bit in nodes]
+        if not level:
+            break
+    return Cluster(depth_bound=depth_bound, opens=opens)
 
 
 class FixtureStream:

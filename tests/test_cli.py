@@ -1,10 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
-from perccode import cli
+from perccode import cli, percolate
 from perccode.ensemble import CSV_COLUMNS
-from perccode.percolate import cluster_to_json
+from perccode.percolate import Cluster, cluster_to_json
 
 from conftest import SEVEN_LEAF_WORDS, cluster_from_codewords
 
@@ -131,6 +132,41 @@ def test_codebook_sampled_matches_library(capsys):
     assert words == sorted(words)
 
 
+@pytest.mark.parametrize("weights", [[], ["--weights"]])
+def test_root_only_codebook_exits_one(capsys, weights):
+    # the text form cannot hold the empty codeword
+    code, out, err = run_cli(capsys, "codebook", "--p", "0", "--depth", "4", *weights)
+    assert code == 1
+    assert out == ""
+    assert "root-only" in err
+
+
+def test_codebook_from_too_deep_file_exits_one(capsys, tmp_path):
+    depth = 1500
+    text = (
+        f'{{"depth_bound": {depth}, "root": '
+        + "".join(f'{{"gen": {g}, "left": ' for g in range(depth - 1))
+        + f'{{"gen": {depth - 1}}}'
+        + "}" * depth
+    )
+    path = tmp_path / "chain.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "codebook", "--cluster", str(path))
+    assert code == 1
+    assert out == ""
+    assert "recursion limit" in err
+
+
+def test_sample_too_deep_for_json_exits_one(capsys, monkeypatch):
+    depth = 1500
+    chain = Cluster(depth, [np.array([True, False])] * depth)
+    monkeypatch.setattr(percolate, "sample_cluster", lambda params, depth, stream: chain)
+    code, out, err = run_cli(capsys, "sample", "--depth", str(depth))
+    assert code == 1
+    assert out == ""
+    assert "recursion limit" in err
+
+
 def test_decode_against_book_file(capsys, seven_leaf_paths):
     _, book_path = seven_leaf_paths
     code, out, _ = run_cli(
@@ -178,6 +214,13 @@ def test_sweep_writes_csv(capsys, tmp_path):
     lines = out_path.read_text().splitlines()
     assert lines[1] == ",".join(CSV_COLUMNS)
     assert len(lines) == 4
+
+
+def test_sweep_without_p_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--depth", "4", "--samples", "10"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_oracle_json(capsys):

@@ -146,6 +146,16 @@ def test_format_with_weights(seven_leaf_book):
     assert parse_codebook(text).words == seven_leaf_book.words
 
 
+def test_format_refuses_the_empty_codeword():
+    # a root-only book would write a blank line, or a bare weight, that
+    # parse_codebook drops or rejects
+    book = CodeBook(("",))
+    with pytest.raises(ValueError, match="root-only"):
+        format_codebook(book)
+    with pytest.raises(ValueError, match="root-only"):
+        format_codebook(book, bernoulli_weights(book, 0.5))
+
+
 def test_parse_codebook_round_trip(seven_leaf_book):
     assert parse_codebook(format_codebook(seven_leaf_book)) == seven_leaf_book
     with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from perccode.ensemble import (
     csv_text,
     run_ensemble,
     sweep,
+    write_csv,
 )
 
 
@@ -87,10 +88,10 @@ def test_sweep_rows_and_mean_length_growth():
 
 def test_csv_shape_and_empty_analytic_cells(tmp_path):
     out = tmp_path / "grid.csv"
-    config = EnsembleConfig(
-        p_values=[0.5, 0.75], depths=[4], samples=50, seed=2, out_path=str(out)
-    )
+    config = EnsembleConfig(p_values=[0.5, 0.75], depths=[4], samples=50, seed=2)
     rows = sweep(config, log=None)
+    with open(out, "w", encoding="ascii", newline="") as fh:
+        write_csv(rows, fh)
     text = out.read_text(encoding="ascii")
     lines = text.splitlines()
     assert lines[0].startswith("# rng_version=")

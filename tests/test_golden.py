@@ -1,0 +1,63 @@
+"""Regression gate on the CLI's output formats.
+
+Each file under ``tests/data/golden`` holds the stdout of one command
+below, written by the pointer-tree implementation that level-order
+clusters replaced.  Cluster JSON, code-book text and sweep CSV must stay
+byte-identical.  DOT output is compared as a set of lines: a graph's
+statements may come in any order, and a level-order walk emits them in a
+different one than the depth-first walk that wrote the files.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from perccode import cli
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+CASES = {
+    "sample-p0.5-d8-s7.json": ["sample", "--p", "0.5", "--depth", "8", "--seed", "7"],
+    "sample-p0.7-d9-s11-i3.json": [
+        "sample", "--p", "0.7", "--depth", "9", "--seed", "11", "--index", "3",
+    ],
+    "sample-p0-d4.json": ["sample", "--p", "0", "--depth", "4"],
+    "sample-p1-d2.json": ["sample", "--p", "1", "--depth", "2"],
+    "sample-p0.5-d8-s7.dot": [
+        "sample", "--p", "0.5", "--depth", "8", "--seed", "7", "--format", "dot",
+    ],
+    "sample-p0.7-d9-s11-i3.dot": [
+        "sample", "--p", "0.7", "--depth", "9", "--seed", "11", "--index", "3",
+        "--format", "dot",
+    ],
+    "sample-p1-d2.dot": ["sample", "--p", "1", "--depth", "2", "--format", "dot"],
+    "codebook-p0.6-d10-s123.txt": [
+        "codebook", "--p", "0.6", "--depth", "10", "--seed", "123",
+    ],
+    "codebook-p0.6-d10-s123-weights.txt": [
+        "codebook", "--p", "0.6", "--depth", "10", "--seed", "123", "--weights",
+    ],
+    "codebook-p0.7-d9-s11-i3.txt": [
+        "codebook", "--p", "0.7", "--depth", "9", "--seed", "11", "--index", "3",
+    ],
+    "codebook-p0.7-d9-s11-i3-weights.txt": [
+        "codebook", "--p", "0.7", "--depth", "9", "--seed", "11", "--index", "3",
+        "--weights",
+    ],
+    "codebook-p1-d2.txt": ["codebook", "--p", "1", "--depth", "2"],
+    "sweep.csv": [
+        "sweep", "--p", "0.5", "--p", "0.75", "--depth", "4", "--depth", "7",
+        "--samples", "200", "--seed", "2",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(capsys, name):
+    assert cli.main(CASES[name]) == 0
+    out = capsys.readouterr().out
+    want = (GOLDEN / name).read_bytes().decode("ascii")
+    if name.endswith(".dot"):
+        assert sorted(out.splitlines()) == sorted(want.splitlines())
+    else:
+        assert out == want

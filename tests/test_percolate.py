@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from perccode import percolate
 from perccode.analytic import ModelParams, pgf_iterate
 from perccode.percolate import (
+    Cluster,
     cluster_from_json,
     cluster_stream,
     cluster_to_dot,
@@ -20,22 +21,9 @@ from perccode.percolate import (
 from conftest import FixtureStream
 
 
-def collect_nodes(cluster):
-    out = []
-    stack = [cluster.root]
-    while stack:
-        node = stack.pop()
-        out.append(node)
-        if node.left is not None:
-            stack.append(node.left)
-        if node.right is not None:
-            stack.append(node.right)
-    return out
-
-
 def test_p_zero_gives_root_only():
     c = sample_cluster(ModelParams(0.0), 6, cluster_stream(1, 0))
-    assert c.root.is_childless()
+    assert [flags.tolist() for flags in c.opens] == [[False, False]]
     assert tally(c).node_counts == [1, 0, 0, 0, 0, 0, 0]
 
 
@@ -50,10 +38,18 @@ def test_fixture_stream_trace():
     # values consumed left-then-right, breadth-first; open iff value < p
     stream = FixtureStream([0.3, 0.7, 0.4, 0.6, 0.9, 0.2])
     c = sample_cluster(ModelParams(0.5), 2, stream)
-    assert c.root.left is not None and c.root.right is None
-    child = c.root.left
-    assert (child.left is None) != (child.right is None)  # exactly one child
+    assert c.opens[0].tolist() == [True, False]  # only the root's left edge
+    assert c.opens[1].tolist() == [True, False]  # its child has one child
     assert tally(c).node_counts == [1, 1, 1]
+
+
+def test_opens_are_the_drawn_flags():
+    # the README contract, read off directly: generation g's flags are the
+    # next 2 * N_g uniforms of the keyed stream compared with p
+    c = sample_cluster(ModelParams(0.6), 12, cluster_stream(4, 2))
+    stream = cluster_stream(4, 2)
+    for flags in c.opens:
+        assert np.array_equal(flags, stream.random(len(flags)) < 0.6)
 
 
 def test_fixture_stream_consumption_is_per_live_node():
@@ -131,14 +127,15 @@ def test_tally_invariants(seed, p, depth):
         assert t.leaf_counts[n] <= t.node_counts[n]
         with_child = t.node_counts[n] - t.leaf_counts[n]
         assert with_child >= math.ceil(t.node_counts[n + 1] / 2)
-    nodes = collect_nodes(c)
-    assert all(node.gen <= depth for node in nodes)
-    parented = [n for n in nodes if n is not c.root]
-    for node in nodes:
-        for child in (node.left, node.right):
-            if child is not None:
-                assert child.gen == node.gen + 1
-    assert len(parented) == sum(t.node_counts) - 1
+    # no node deeper than the bound; each generation holds two flags per
+    # node, whose open edges are the nodes of the next; one open edge per
+    # non-root node
+    assert len(c.opens) <= depth
+    assert all(flags.dtype == bool for flags in c.opens)
+    assert len(c.opens[0]) == 2
+    for upper, lower in zip(c.opens, c.opens[1:]):
+        assert len(lower) == 2 * np.count_nonzero(upper)
+    assert sum(int(np.count_nonzero(flags)) for flags in c.opens) == sum(t.node_counts) - 1
 
 
 def test_sample_means_match_closed_forms():
@@ -175,6 +172,33 @@ def test_json_round_trip(seven_leaf_cluster):
     again = cluster_from_json(doc)
     assert tally(again) == tally(seven_leaf_cluster)
     assert cluster_to_json(again) == doc
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32),
+    p=st.sampled_from([0.0, 0.4, 0.6, 0.8, 1.0]),
+    depth=st.integers(min_value=0, max_value=9),
+)
+def test_json_round_trip_keeps_opens(seed, p, depth):
+    c = sample_cluster(ModelParams(p), depth, cluster_stream(seed, 0))
+    again = cluster_from_json(cluster_to_json(c))
+    assert again.depth_bound == c.depth_bound
+    assert [f.tolist() for f in again.opens] == [f.tolist() for f in c.opens]
+
+
+def test_deep_chain_walks_without_recursion():
+    # far deeper than the interpreter's recursion limit
+    depth = 5000
+    last = np.array([False, False])
+    chain = Cluster(depth, [np.array([True, False])] * (depth - 1) + [last])
+    t = tally(chain)
+    assert t.node_counts == [1] * depth + [0]
+    assert t.leaf_counts == [0] * (depth - 1) + [1]
+    doc = cluster_to_json(chain)
+    again = cluster_from_json(doc)
+    assert tally(again) == t
+    assert cluster_to_dot(again).count("->") == depth - 1
 
 
 def test_json_schema_shape():

@@ -34,14 +34,7 @@ from .codec import (
     kraft_sum,
 )
 from .ensemble import EnsembleConfig, EnsembleStats, run_ensemble, sweep
-from .infomeasure import (
-    ConfigMeasures,
-    UndefinedError,
-    config_avg_length,
-    config_entropy,
-    measures,
-    normalization,
-)
+from .infomeasure import ConfigMeasures, measures
 from .oracle import (
     DistVector,
     ExactStats,

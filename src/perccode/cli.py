@@ -18,7 +18,7 @@ import argparse
 import json
 import sys
 
-from . import analytic, codec, ensemble, infomeasure, oracle, percolate
+from . import analytic, codec, ensemble, oracle, percolate
 from .analytic import DomainError, ModelParams
 from .percolate import RNG_VERSION
 
@@ -118,9 +118,7 @@ def _cmd_codebook(args: argparse.Namespace) -> int:
 def _cmd_ensemble(args: argparse.Namespace) -> int:
     params = ModelParams(args.p[0] if args.p else 0.5)
     depth = args.depth[0] if args.depth else 8
-    stats = ensemble.run_ensemble(
-        params, depth, args.samples, args.seed, threads=args.threads
-    )
+    stats = ensemble.run_ensemble(params, depth, args.samples, args.seed)
     if args.out is not None:
         with open(args.out, "w", encoding="ascii", newline="") as fh:
             ensemble.write_csv([stats], fh)
@@ -142,7 +140,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         samples=args.samples,
         seed=args.seed,
     )
-    rows = ensemble.sweep(config, threads=args.threads)
+    rows = ensemble.sweep(config)
     _emit(ensemble.csv_text(rows), args.out)
     return 0
 
@@ -229,13 +227,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_ens = sub.add_parser("ensemble", help="one Monte Carlo cell, stats as JSON")
     _add_common(p_ens)
     p_ens.add_argument("--samples", type=int, default=10000)
-    p_ens.add_argument("--threads", type=int, default=1)
     p_ens.set_defaults(func=_cmd_ensemble)
 
     p_sweep = sub.add_parser("sweep", help="Monte Carlo grid over p x depth, CSV out")
     _add_common(p_sweep)
     p_sweep.add_argument("--samples", type=int, default=10000)
-    p_sweep.add_argument("--threads", type=int, default=1)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_oracle = sub.add_parser(
@@ -261,14 +257,7 @@ def main(argv: list[str] | None = None) -> int:
     _log_invocation(args.command, args)
     try:
         return args.func(args)
-    except (
-        DomainError,
-        infomeasure.UndefinedError,
-        codec.DecodeError,
-        oracle.SizeError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (ValueError, OSError) as exc:
         print(f"perccode {args.command}: error: {exc}", file=sys.stderr)
         return 1
 

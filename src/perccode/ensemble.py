@@ -11,9 +11,10 @@ from those two averages and counted in ``skipped_leafless``.  Standard
 errors are sample standard deviation / sqrt(count used).
 
 Determinism: every per-sample result lands in a slot of a preallocated
-array indexed by sample, and reductions always run over the full arrays,
-so output is byte-identical at any worker count.  The stream key ignores
-cell position, so a (p, depth, samples, seed) row is the same whether run
+array indexed by sample, and reductions always run over the full arrays.
+A call shares no mutable state with other calls, so cells run
+concurrently give byte-identical output.  The stream key ignores cell
+position, so a (p, depth, samples, seed) row is the same whether run
 alone or inside any sweep.
 """
 
@@ -22,7 +23,6 @@ from __future__ import annotations
 import io
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,23 +122,7 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
     return mean, float(values.std(ddof=1) / math.sqrt(n))
 
 
-def _fill_slice(params: ModelParams, depth: int, seed: int, lo: int, hi: int,
-                n_final, leaf_counts, entropy, length, alive) -> None:
-    p = params.p
-    for i in range(lo, hi):
-        t = sample_tally(params, depth, cluster_stream(seed, i))
-        n_final[i] = t.node_counts[depth]
-        leaf_counts[i] = t.leaf_counts
-        alive[i] = survived(t)
-        m = measures(t, p)
-        if m.entropy_bits is not None:
-            entropy[i] = m.entropy_bits
-            length[i] = m.avg_length
-
-
-def run_ensemble(
-    params: ModelParams, depth: int, samples: int, seed: int, threads: int = 1
-) -> EnsembleStats:
+def run_ensemble(params: ModelParams, depth: int, samples: int, seed: int) -> EnsembleStats:
     """Estimate one (p, depth) cell from ``samples`` independent clusters."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -150,20 +134,15 @@ def run_ensemble(
     length = np.full(samples, np.nan)
     alive = np.zeros(samples, dtype=bool)
 
-    if threads <= 1:
-        _fill_slice(params, depth, seed, 0, samples,
-                    n_final, leaf_counts, entropy, length, alive)
-    else:
-        chunk = max(1, -(-samples // (threads * 4)))
-        bounds = [(lo, min(lo + chunk, samples)) for lo in range(0, samples, chunk)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_fill_slice, params, depth, seed, lo, hi,
-                            n_final, leaf_counts, entropy, length, alive)
-                for lo, hi in bounds
-            ]
-            for f in futures:
-                f.result()
+    for i in range(samples):
+        t = sample_tally(params, depth, cluster_stream(seed, i))
+        n_final[i] = t.node_counts[depth]
+        leaf_counts[i] = t.leaf_counts
+        alive[i] = survived(t)
+        m = measures(t, params.p)
+        if m.entropy_bits is not None:
+            entropy[i] = m.entropy_bits
+            length[i] = m.avg_length
 
     usable = ~np.isnan(entropy)
     used = int(np.count_nonzero(usable))
@@ -234,15 +213,13 @@ def write_csv(rows: list[EnsembleStats], out) -> None:
         out.write(",".join(fields) + "\n")
 
 
-def sweep(config: EnsembleConfig, threads: int = 1, log=sys.stderr) -> list[EnsembleStats]:
+def sweep(config: EnsembleConfig, log=sys.stderr) -> list[EnsembleStats]:
     """Run every (p, depth) cell of the grid."""
     rows = []
     for p in config.p_values:
         params = ModelParams(p)
         for depth in config.depths:
-            rows.append(
-                run_ensemble(params, depth, config.samples, config.seed, threads=threads)
-            )
+            rows.append(run_ensemble(params, depth, config.samples, config.seed))
             if log is not None:
                 print(
                     f"[sweep] p={p} depth={depth} samples={config.samples} done",

@@ -9,8 +9,8 @@ codeword length (a leaf's codeword length equals its generation).
 Only per-generation leaf counts matter, which is what lets the exact
 enumeration oracle cross-check these paths without cluster geometry.
 A leafless tally has Lambda = 0 and no defined entropy or length;
-those raise :class:`UndefinedError` here and are skipped-and-counted
-by the ensemble.
+:func:`measures` reports those as None and the ensemble skips and
+counts them.
 """
 
 from __future__ import annotations
@@ -20,18 +20,7 @@ from dataclasses import dataclass
 
 from .percolate import GenerationTally
 
-__all__ = [
-    "UndefinedError",
-    "ConfigMeasures",
-    "normalization",
-    "config_entropy",
-    "config_avg_length",
-    "measures",
-]
-
-
-class UndefinedError(ValueError):
-    """Entropy/length requested for a cluster with zero normalization."""
+__all__ = ["ConfigMeasures", "measures"]
 
 
 @dataclass(frozen=True)
@@ -43,18 +32,6 @@ class ConfigMeasures:
     entropy_bits: float | None
     avg_length: float | None
     leaf_total: int
-
-
-def _check_p(p: float) -> float:
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p!r}")
-    return float(p)
-
-
-def normalization(t: GenerationTally, p: float) -> float:
-    """Exact leaf-weight normalization Lambda = sum over generations of L_n * p^n."""
-    p = _check_p(p)
-    return math.fsum(count * p**n for n, count in enumerate(t.leaf_counts) if count)
 
 
 def _entropy_given_lam(t: GenerationTally, p: float, lam: float) -> float:
@@ -71,31 +48,17 @@ def _avg_length_given_lam(t: GenerationTally, p: float, lam: float) -> float:
     return math.fsum(n * count * p**n for n, count in enumerate(t.leaf_counts) if count) / lam
 
 
-def config_entropy(t: GenerationTally, p: float) -> float:
-    """Shannon entropy (bits) of the normalized leaf distribution.
-
-    Each of the L_n leaves at generation n has probability p^n / Lambda.
-    """
-    p = _check_p(p)
-    lam = normalization(t, p)
-    if lam <= 0.0:
-        raise UndefinedError("cluster has no leaves within the depth bound (Lambda = 0)")
-    return _entropy_given_lam(t, p, lam)
-
-
-def config_avg_length(t: GenerationTally, p: float) -> float:
-    """Probability-weighted mean codeword length sum_n n * L_n * p^n / Lambda."""
-    p = _check_p(p)
-    lam = normalization(t, p)
-    if lam <= 0.0:
-        raise UndefinedError("cluster has no leaves within the depth bound (Lambda = 0)")
-    return _avg_length_given_lam(t, p, lam)
-
-
 def measures(t: GenerationTally, p: float) -> ConfigMeasures:
-    """All three quantities at once; entropy/length are None when Lambda = 0."""
-    p = _check_p(p)
-    lam = normalization(t, p)
+    """Lambda, entropy and average codeword length of one cluster at once.
+
+    Each of the L_n leaves at generation n has probability p^n / Lambda;
+    the average length is sum_n n * L_n * p^n / Lambda.  Entropy and
+    length are None when Lambda = 0.
+    """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must lie in [0, 1], got {p!r}")
+    p = float(p)
+    lam = math.fsum(count * p**n for n, count in enumerate(t.leaf_counts) if count)
     leaf_total = sum(t.leaf_counts)
     if lam <= 0.0:
         return ConfigMeasures(

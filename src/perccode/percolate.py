@@ -8,11 +8,10 @@ spawns nothing and never counts as a leaf.
 
 Randomness comes from counter-based streams: sample ``i`` of master seed
 ``s`` draws from an independent Philox stream keyed by ``(s, i)``, so a
-cluster is a pure function of ``(seed, index, p, depth_bound)`` no matter
-how samples are scheduled across threads.  Per generation a single batch
-of ``2 * N_g`` uniforms is consumed, nodes in breadth-first order, each
-node's left edge value before its right edge value; an edge is open iff
-its value is < p.
+cluster is a pure function of ``(seed, index, p, depth_bound)`` however
+calls are scheduled.  Per generation a single batch of ``2 * N_g``
+uniforms is consumed, nodes in breadth-first order, each node's left edge
+value before its right edge value; an edge is open iff its value is < p.
 """
 
 from __future__ import annotations
@@ -147,12 +146,13 @@ def cluster_to_json(cluster: Cluster) -> dict:
 def cluster_from_json(doc: dict) -> Cluster:
     """Parse and validate a cluster dump produced by ``cluster_to_json``."""
     try:
-        depth_bound = int(doc["depth_bound"])
+        depth_bound = doc["depth_bound"]
         root = doc["root"]
     except (KeyError, TypeError) as exc:
         raise ValueError("cluster document needs 'depth_bound' and 'root'") from exc
-    if depth_bound < 0:
-        raise ValueError(f"depth_bound must be >= 0, got {depth_bound}")
+    # bool is an int subclass; floats and strings are never coerced
+    if type(depth_bound) is not int or depth_bound < 0:
+        raise ValueError(f"depth_bound must be an integer >= 0, got {depth_bound!r}")
     opens = []
     level = [root]
     while level:

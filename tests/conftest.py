@@ -1,10 +1,15 @@
-"""Shared fixtures: hand-built clusters and scripted uniform streams."""
+"""Shared fixtures: hand-built clusters, scripted uniform streams and a
+caller-side thread pool over ensemble cells."""
 
 from __future__ import annotations
+
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from perccode.analytic import ModelParams
+from perccode.ensemble import run_ensemble
 from perccode.percolate import Cluster
 
 # Hand-checked seven-leaf cluster at depth bound 5.  Its tally is
@@ -43,6 +48,18 @@ class FixtureStream:
         out = np.array(self.values[self.cursor : self.cursor + n])
         self.cursor += n
         return out
+
+
+def sweep_on_threads(config, workers: int = 4):
+    """The rows of ``sweep(config)``, each cell run concurrently by
+    ``run_ensemble`` on a thread of this caller's own pool."""
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [
+            pool.submit(run_ensemble, ModelParams(p), depth, config.samples, config.seed)
+            for p in config.p_values
+            for depth in config.depths
+        ]
+        return [f.result() for f in futures]
 
 
 @pytest.fixture

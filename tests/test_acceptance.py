@@ -23,7 +23,7 @@ from perccode.percolate import (
     tally,
 )
 
-from conftest import SEVEN_LEAF_WORDS, cluster_from_codewords
+from conftest import SEVEN_LEAF_WORDS, cluster_from_codewords, sweep_on_threads
 
 
 def report(cid: str, label: str, ok: bool, detail: str = "") -> None:
@@ -204,8 +204,8 @@ def test_c7_coding_fixtures():
 
 def test_c8_per_configuration_measures():
     t = tally(cluster_from_codewords(SEVEN_LEAF_WORDS, 5))
-    h = infomeasure.config_entropy(t, 0.5)
-    ell = infomeasure.config_avg_length(t, 0.5)
+    m = infomeasure.measures(t, 0.5)
+    h, ell = m.entropy_bits, m.avg_length
     ok = abs(h - 2.5503) <= 1e-3 and abs(ell - 3.0909) <= 1e-3
     report("C8", "per-configuration measures", ok, f"H={h:.4f} L={ell:.4f}")
     assert h == pytest.approx(2.5503, abs=1e-3)
@@ -224,7 +224,7 @@ def test_c9_boundary_densities():
         failures.append("p=0 cell wrong")
     for i in range(200):
         t = sample_tally(ModelParams(0.0), 8, cluster_stream(90, i))
-        if infomeasure.normalization(t, 0.0) != 1.0:
+        if infomeasure.measures(t, 0.0).normalization != 1.0:
             failures.append(f"p=0 sample {i} has Lambda != 1")
             break
     report("C9", "boundary densities", not failures, ", ".join(failures) or "p=0 and p=1 behave")
@@ -233,9 +233,9 @@ def test_c9_boundary_densities():
 
 def test_c10_reproducibility_across_threads(tmp_path):
     config = EnsembleConfig(p_values=[0.5, 0.6], depths=[6, 10], samples=3000, seed=10)
-    text1 = csv_text(sweep(config, threads=1, log=None))
-    textn = csv_text(sweep(config, threads=4, log=None))
-    again = csv_text(sweep(config, threads=1, log=None))
+    text1 = csv_text(sweep(config, log=None))
+    textn = csv_text(sweep_on_threads(config))
+    again = csv_text(sweep(config, log=None))
     ok = text1 == textn == again
     report("C10", "byte-identical CSV across runs/threads", ok)
     assert text1 == again

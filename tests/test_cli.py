@@ -68,6 +68,10 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main([])
     assert exc.value.code == 2
+    for argv in (["ensemble", "--threads", "2"], ["sweep", "--p", "0.5", "--threads", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
 
 
 @pytest.mark.parametrize(
@@ -155,6 +159,15 @@ def test_codebook_from_too_deep_file_exits_one(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert "recursion limit" in err
+
+
+def test_codebook_from_file_with_infinite_depth_bound_exits_one(capsys, tmp_path):
+    path = tmp_path / "cluster.json"
+    path.write_text('{"depth_bound": Infinity, "root": {"gen": 0}}')
+    code, out, err = run_cli(capsys, "codebook", "--cluster", str(path))
+    assert code == 1
+    assert out == ""
+    assert "depth_bound must be an integer >= 0" in err
 
 
 def test_sample_too_deep_for_json_exits_one(capsys, monkeypatch):

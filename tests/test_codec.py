@@ -126,7 +126,7 @@ def test_kraft_equals_normalization_at_half(seed, p):
     book = extract_codebook(c)
     t = tally(c)
     assert kraft_sum(book) == pytest.approx(
-        infomeasure.normalization(t, 0.5), abs=1e-12
+        infomeasure.measures(t, 0.5).normalization, abs=1e-12
     )
 
 

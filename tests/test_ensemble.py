@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -11,6 +12,8 @@ from perccode.ensemble import (
     sweep,
     write_csv,
 )
+
+from conftest import sweep_on_threads
 
 
 def test_p_zero_cell():
@@ -62,10 +65,14 @@ def test_leaf_count_means_track_closed_form():
 
 def test_deterministic_across_runs_and_threads():
     m = ModelParams(0.55)
-    a = run_ensemble(m, 10, 3000, seed=77, threads=1)
-    b = run_ensemble(m, 10, 3000, seed=77, threads=1)
-    c = run_ensemble(m, 10, 3000, seed=77, threads=4)
-    assert a == b == c
+    a = run_ensemble(m, 10, 3000, seed=77)
+    b = run_ensemble(m, 10, 3000, seed=77)
+    # four concurrent calls of the same cell from the caller's own pool
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        futures = [pool.submit(run_ensemble, m, 10, 3000, 77) for _ in range(4)]
+        pooled = [f.result() for f in futures]
+    assert a == b
+    assert pooled == [a] * 4
 
 
 def test_cell_is_position_independent():
@@ -117,8 +124,8 @@ def test_header_only_csv_for_empty_grid():
 
 def test_csv_byte_identical_across_thread_counts(tmp_path):
     config = EnsembleConfig(p_values=[0.5, 0.6], depths=[5, 9], samples=1500, seed=4)
-    rows1 = sweep(config, threads=1, log=None)
-    rows4 = sweep(config, threads=4, log=None)
+    rows1 = sweep(config, log=None)
+    rows4 = sweep_on_threads(config)
     assert csv_text(rows1) == csv_text(rows4)
 
 

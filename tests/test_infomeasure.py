@@ -4,13 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from perccode.analytic import ModelParams
-from perccode.infomeasure import (
-    UndefinedError,
-    config_avg_length,
-    config_entropy,
-    measures,
-    normalization,
-)
+from perccode.infomeasure import measures
 from perccode.percolate import GenerationTally, cluster_stream, sample_cluster, tally
 
 from conftest import cluster_from_codewords
@@ -29,18 +23,22 @@ def seven_leaf_tally(seven_leaf_cluster):
 
 def test_normalization_examples(seven_leaf_tally):
     # 1 * 0.25 + 1 * 0.125 + 5 * 0.0625
-    assert normalization(seven_leaf_tally, 0.5) == pytest.approx(0.6875, abs=1e-12)
+    m = measures(seven_leaf_tally, 0.5)
+    assert m.normalization == pytest.approx(0.6875, abs=1e-12)
+    assert m.leaf_total == 7
     root_only = make_tally([1, 0, 0])
     for p in (0.0, 0.3, 1.0):
-        assert normalization(root_only, p) == 1.0
+        assert measures(root_only, p).normalization == 1.0
     leafless = make_tally([0, 0, 0])
-    assert normalization(leafless, 0.5) == 0.0
+    assert measures(leafless, 0.5).normalization == 0.0
 
 
 def test_config_entropy_examples(seven_leaf_tally):
-    assert config_entropy(seven_leaf_tally, 0.5) == pytest.approx(2.5503, abs=1e-3)
-    assert config_entropy(make_tally([1, 0]), 0.9) == 0.0
-    assert config_entropy(make_tally([0, 0, 4]), 0.5) == pytest.approx(2.0, abs=1e-12)
+    assert measures(seven_leaf_tally, 0.5).entropy_bits == pytest.approx(2.5503, abs=1e-3)
+    assert measures(make_tally([1, 0]), 0.9).entropy_bits == 0.0
+    assert measures(make_tally([0, 0, 4]), 0.5).entropy_bits == pytest.approx(
+        2.0, abs=1e-12
+    )
 
 
 def test_config_entropy_hand_value(seven_leaf_tally):
@@ -48,42 +46,30 @@ def test_config_entropy_hand_value(seven_leaf_tally):
     lam = 0.6875
     weights = [0.25 / lam] + [0.125 / lam] + [0.0625 / lam] * 5
     by_hand = -math.fsum(w * math.log2(w) for w in weights)
-    assert config_entropy(seven_leaf_tally, 0.5) == pytest.approx(by_hand, abs=1e-12)
+    assert measures(seven_leaf_tally, 0.5).entropy_bits == pytest.approx(by_hand, abs=1e-12)
 
 
 def test_config_avg_length_examples(seven_leaf_tally):
-    assert config_avg_length(seven_leaf_tally, 0.5) == pytest.approx(3.0909, abs=1e-3)
-    assert config_avg_length(seven_leaf_tally, 0.5) == pytest.approx(
-        2.125 / 0.6875, abs=1e-12
-    )
-    assert config_avg_length(make_tally([1, 0]), 0.4) == 0.0
-    assert config_avg_length(make_tally([0, 0, 4]), 0.5) == pytest.approx(2.0, abs=1e-12)
+    ell = measures(seven_leaf_tally, 0.5).avg_length
+    assert ell == pytest.approx(3.0909, abs=1e-3)
+    assert ell == pytest.approx(2.125 / 0.6875, abs=1e-12)
+    assert measures(make_tally([1, 0]), 0.4).avg_length == 0.0
+    assert measures(make_tally([0, 0, 4]), 0.5).avg_length == pytest.approx(2.0, abs=1e-12)
 
 
 def test_undefined_when_no_leaves():
     leafless = make_tally([0, 0])
-    with pytest.raises(UndefinedError):
-        config_entropy(leafless, 0.5)
-    with pytest.raises(UndefinedError):
-        config_avg_length(leafless, 0.5)
-    m = measures(leafless, 0.5)
-    assert m.normalization == 0.0
-    assert m.entropy_bits is None and m.avg_length is None
-
-
-def test_measures_matches_parts(seven_leaf_tally):
-    m = measures(seven_leaf_tally, 0.5)
-    assert m.normalization == normalization(seven_leaf_tally, 0.5)
-    assert m.entropy_bits == config_entropy(seven_leaf_tally, 0.5)
-    assert m.avg_length == config_avg_length(seven_leaf_tally, 0.5)
-    assert m.leaf_total == 7
+    for p in (0.0, 0.5):
+        m = measures(leafless, p)
+        assert m.normalization == 0.0
+        assert m.entropy_bits is None and m.avg_length is None
 
 
 def test_p_zero_keeps_only_the_root_term():
-    t = make_tally([1, 2, 3])
-    assert normalization(t, 0.0) == 1.0
-    assert config_entropy(t, 0.0) == 0.0
-    assert config_avg_length(t, 0.0) == 0.0
+    m = measures(make_tally([1, 2, 3]), 0.0)
+    assert m.normalization == 1.0
+    assert m.entropy_bits == 0.0
+    assert m.avg_length == 0.0
 
 
 @settings(max_examples=50, deadline=None)
@@ -93,14 +79,15 @@ def test_p_zero_keeps_only_the_root_term():
 )
 def test_normalized_weights_sum_to_one(seed, p):
     t = tally(sample_cluster(ModelParams(p), 10, cluster_stream(seed, 2)))
-    lam = normalization(t, p)
+    m = measures(t, p)
+    lam = m.normalization
     if lam == 0.0:
         return
     total = math.fsum(
         count * p**n / lam for n, count in enumerate(t.leaf_counts) if count
     )
     assert total == pytest.approx(1.0, abs=1e-12)
-    assert config_entropy(t, p) <= math.log2(sum(t.leaf_counts)) + 1e-9
+    assert m.entropy_bits <= math.log2(sum(t.leaf_counts)) + 1e-9
 
 
 @settings(max_examples=50, deadline=None)
@@ -109,11 +96,11 @@ def test_entropy_bounded_by_length_at_half(seed):
     # at p = 1/2 the normalized weights are the Kraft-weighted code
     # distribution, and H = L + log2(Lambda) with Lambda <= 1
     t = tally(sample_cluster(ModelParams(0.5), 10, cluster_stream(seed, 3)))
-    lam = normalization(t, 0.5)
+    m = measures(t, 0.5)
+    lam = m.normalization
     if lam == 0.0:
         return
-    h = config_entropy(t, 0.5)
-    ell = config_avg_length(t, 0.5)
+    h, ell = m.entropy_bits, m.avg_length
     assert h <= ell + 1e-9
     assert h - ell == pytest.approx(math.log2(lam), abs=1e-9)
 
@@ -124,21 +111,19 @@ def test_entropy_depends_only_on_tally():
     b = tally(cluster_from_codewords(["0", "10", "11"], 3))
     assert a.leaf_counts == b.leaf_counts
     for p in (0.3, 0.5, 0.7):
-        assert config_entropy(a, p) == config_entropy(b, p)
-        assert config_avg_length(a, p) == config_avg_length(b, p)
+        assert measures(a, p) == measures(b, p)
 
 
 def test_new_leaf_shifts_normalization_by_its_weight():
     base = make_tally([1, 0, 0, 0])
     grown = make_tally([1, 0, 2, 0])
     p = 0.6
-    assert normalization(grown, p) - normalization(base, p) == pytest.approx(
-        2 * p**2, abs=1e-12
-    )
+    shift = measures(grown, p).normalization - measures(base, p).normalization
+    assert shift == pytest.approx(2 * p**2, abs=1e-12)
 
 
 def test_rejects_bad_p(seven_leaf_tally):
     with pytest.raises(ValueError):
-        normalization(seven_leaf_tally, -0.2)
+        measures(seven_leaf_tally, -0.2)
     with pytest.raises(ValueError):
-        config_entropy(seven_leaf_tally, 1.0001)
+        measures(seven_leaf_tally, 1.0001)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -19,6 +20,23 @@ from perccode.percolate import (
 )
 
 from conftest import FixtureStream
+
+
+def reference_tally(p, depth, stream):
+    """Per-generation counts drawn straight from the README's RNG contract:
+    per generation 2 * N_g uniforms, left edges at even positions, right
+    edges at odd ones, an edge open iff its value is < p, a leaf a node
+    with both edges closed."""
+    node_counts = [1] + [0] * depth
+    leaf_counts = [0] * depth
+    for g in range(depth):
+        if node_counts[g] == 0:
+            break
+        u = stream.random(2 * node_counts[g])
+        left, right = u[0::2] < p, u[1::2] < p
+        leaf_counts[g] = int(np.count_nonzero(~left & ~right))
+        node_counts[g + 1] = int(np.count_nonzero(left) + np.count_nonzero(right))
+    return node_counts, leaf_counts
 
 
 def test_p_zero_gives_root_only():
@@ -105,10 +123,11 @@ def test_determinism_and_stream_independence():
     depth=st.integers(min_value=0, max_value=8),
 )
 def test_sample_tally_matches_cluster_tally(seed, index, p, depth):
-    m = ModelParams(p)
-    fast = sample_tally(m, depth, cluster_stream(seed, index))
-    slow = tally(sample_cluster(m, depth, cluster_stream(seed, index)))
-    assert fast == slow
+    t = sample_tally(ModelParams(p), depth, cluster_stream(seed, index))
+    node_counts, leaf_counts = reference_tally(p, depth, cluster_stream(seed, index))
+    assert t.depth_bound == depth
+    assert t.node_counts == node_counts
+    assert t.leaf_counts == leaf_counts
 
 
 @settings(max_examples=60, deadline=None)
@@ -218,6 +237,13 @@ def test_json_rejects_malformed():
         cluster_from_json({"depth_bound": 0, "root": {"gen": 0, "left": {"gen": 1}}})
     with pytest.raises(ValueError):
         cluster_from_json({"depth_bound": 2, "root": {"gen": 1}})
+
+
+@pytest.mark.parametrize("text", ["2.7", "true", '"3"', "-0.5", "Infinity", "1e400"])
+def test_json_rejects_non_integer_depth_bound(text):
+    doc = json.loads(f'{{"depth_bound": {text}, "root": {{"gen": 0}}}}')
+    with pytest.raises(ValueError, match="depth_bound"):
+        cluster_from_json(doc)
 
 
 def test_dot_output(seven_leaf_cluster):

@@ -27,6 +27,7 @@ __all__ = [
     "Cluster",
     "GenerationTally",
     "cluster_stream",
+    "SampleStreams",
     "sample_cluster",
     "sample_tally",
     "tally",
@@ -72,11 +73,56 @@ class GenerationTally:
     leaf_counts: list[int]
 
 
+def _check_key(seed: int, index: int) -> None:
+    # each is one 64-bit word of the Philox key
+    if not (0 <= seed < 2**64 and 0 <= index < 2**64):
+        raise ValueError(f"seed and index must lie in [0, 2**64), got {seed}, {index}")
+
+
+def _philox_stream(seed: int, index: int) -> np.random.Generator:
+    # an unsigned array keeps every 64-bit value exact; NumPy converts a list
+    # holding a Python int >= 2**63 through float64
+    return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+
+
 def cluster_stream(seed: int, index: int) -> np.random.Generator:
-    """Independent uniform stream for sample ``index`` of master ``seed``."""
-    if seed < 0 or index < 0:
-        raise ValueError(f"seed and index must be >= 0, got {seed}, {index}")
-    return np.random.Generator(np.random.Philox(key=[seed, index]))
+    """Independent uniform stream for sample ``index`` of master ``seed``;
+    both must lie in [0, 2**64)."""
+    _check_key(seed, index)
+    return _philox_stream(seed, index)
+
+
+class SampleStreams:
+    """The streams of samples ``0 .. count - 1`` of master ``seed``, served by
+    one reused generator.
+
+    ``at(index)`` resets that generator in place to the start of the stream
+    ``cluster_stream(seed, index)`` returns, and returns it: the same
+    numbers at under a tenth of the cost of a new generator.  A stream is
+    good until the next ``at``, so give each thread its own object.
+    """
+
+    def __init__(self, seed: int, count: int):
+        _check_key(seed, max(count - 1, 0))
+        self.count = count
+        self._generator = _philox_stream(seed, 0)
+        self._key = [seed, 0]
+        # counter 0 and an empty buffer: the state of a new generator
+        self._state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": self._key},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+
+    def at(self, index: int) -> np.random.Generator:
+        if not 0 <= index < self.count:
+            raise IndexError(f"sample index {index} outside [0, {self.count})")
+        self._key[1] = index
+        self._generator.bit_generator.state = self._state
+        return self._generator
 
 
 def sample_cluster(params: ModelParams, depth_bound: int, stream) -> Cluster:
@@ -163,8 +209,9 @@ def cluster_from_json(doc: dict) -> Cluster:
                     f"cluster node must be an object, got {type(node).__name__}"
                 )
             declared = node.get("gen", gen)
-            if declared != gen:
-                raise ValueError(f"node declares generation {declared} but sits at {gen}")
+            # as for depth_bound: 0.0, true or "1" is not the integer it resembles
+            if type(declared) is not int or declared != gen:
+                raise ValueError(f"node declares generation {declared!r} but sits at {gen}")
         flags = [side in node for node in level for side in ("left", "right")]
         if gen == depth_bound:
             if any(flags):

@@ -229,6 +229,22 @@ def test_sweep_writes_csv(capsys, tmp_path):
     assert len(lines) == 4
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--p", "0.5", "--depth", "3", "--samples", "2", "--seed", str(2**64)],
+        ["ensemble", "--p", "0.5", "--depth", "3", "--samples", "2", "--seed", str(2**64)],
+        ["sample", "--p", "0.5", "--depth", "3", "--seed", str(2**64)],
+        ["sample", "--p", "0.5", "--depth", "3", "--index", str(2**64)],
+    ],
+)
+def test_key_past_64_bits_exits_one(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "2**64" in err and "Traceback" not in err
+
+
 def test_sweep_without_p_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["sweep", "--depth", "4", "--samples", "10"])

@@ -1,17 +1,24 @@
+import io
 import math
+import re
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
-from perccode.analytic import ModelParams, pgf_iterate
+from perccode import analytic
+from perccode.analytic import DomainError, ModelParams, pgf_iterate
 from perccode.ensemble import (
     CSV_COLUMNS,
     EnsembleConfig,
+    EnsembleStats,
     csv_text,
     run_ensemble,
     sweep,
     write_csv,
 )
+from perccode.infomeasure import measures
+from perccode.percolate import cluster_stream, sample_tally
 
 from conftest import sweep_on_threads
 
@@ -138,3 +145,108 @@ def test_config_validation():
         EnsembleConfig(p_values=[0.5], depths=[0], samples=10, seed=1)
     with pytest.raises(ValueError):
         run_ensemble(ModelParams(0.5), 0, 10, seed=1)
+
+
+def _mean_se(values):
+    if len(values) == 0:
+        return 0.0, 0.0
+    if len(values) < 2:
+        return float(values.mean()), 0.0
+    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(len(values)))
+
+
+def reference_ensemble(params, depth, samples, seed):
+    """One cell through the per-sample path: a new stream, ``sample_tally``
+    and ``measures`` for every sample, reduced over full per-sample arrays."""
+    n_final = np.zeros(samples, dtype=np.int64)
+    leaf_counts = np.zeros((samples, depth), dtype=np.int64)
+    entropy = np.full(samples, np.nan)
+    length = np.full(samples, np.nan)
+    for i in range(samples):
+        t = sample_tally(params, depth, cluster_stream(seed, i))
+        n_final[i] = t.node_counts[depth]
+        leaf_counts[i] = t.leaf_counts
+        m = measures(t, params.p)
+        if m.entropy_bits is not None:
+            entropy[i] = m.entropy_bits
+            length[i] = m.avg_length
+    usable = ~np.isnan(entropy)
+    used = int(np.count_nonzero(usable))
+    mean_n, se_n = _mean_se(n_final.astype(float))
+    mean_h, se_h = _mean_se(entropy[usable])
+    mean_l, se_l = _mean_se(length[usable])
+    try:
+        analytic_cols = (
+            analytic.expected_entropy(params),
+            analytic.expected_code_length(params),
+            analytic.lambda_mean(params),
+        )
+    except DomainError:
+        analytic_cols = (None, None, None)
+    return EnsembleStats(
+        p=params.p,
+        depth=depth,
+        samples=samples,
+        seed=seed,
+        used=used,
+        skipped_leafless=samples - used,
+        extinct_frac=float(np.count_nonzero(n_final == 0)) / samples,
+        mean_N_final=mean_n,
+        se_N_final=se_n,
+        mean_H_bits=mean_h,
+        se_H_bits=se_h,
+        mean_L=mean_l,
+        se_L=se_l,
+        mean_leaf_counts=[float(x) for x in leaf_counts.mean(axis=0)],
+        se_leaf_counts=[
+            float(leaf_counts[:, g].std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
+            for g in range(depth)
+        ],
+        analytic_H_bits=analytic_cols[0],
+        analytic_L=analytic_cols[1],
+        analytic_lambda=analytic_cols[2],
+    )
+
+
+# single samples, large seeds, several chunks of samples, samples that fit
+# their block of uniforms and samples that outgrow it
+@pytest.mark.parametrize(
+    "p, depth, samples, seed",
+    [
+        (0.6, 16, 1, 2**62),
+        (0.45, 12, 1, 2**62 + 7),
+        (0.9, 6, 1, 2**64 - 1),
+        (0.6, 16, 300, 2**62 + 11),
+        (0.55, 14, 200, 2**63 + 1),
+        (0.7, 18, 40, 2**63 - 1),
+        (0.3, 5, 500, 2**64 - 1),
+        (0.0, 3, 20, 5),
+        (1.0, 4, 10, 2**62),
+    ],
+)
+def test_matches_per_sample_reference(p, depth, samples, seed):
+    params = ModelParams(p)
+    assert run_ensemble(params, depth, samples, seed) == reference_ensemble(
+        params, depth, samples, seed
+    )
+
+
+def test_keys_past_64_bits_are_rejected_before_any_work():
+    with pytest.raises(ValueError, match="2\\*\\*64"):
+        run_ensemble(ModelParams(0.5), 4, 10, seed=2**64)
+    # sample 2**64 needs a key word past 64 bits; refused before any allocation
+    with pytest.raises(ValueError, match="2\\*\\*64"):
+        run_ensemble(ModelParams(0.5), 4, 2**64 + 1, seed=0)
+
+
+def test_sweep_log_reports_time_and_rate():
+    log = io.StringIO()
+    sweep(EnsembleConfig(p_values=[0.5], depths=[4, 6], samples=30, seed=1), log=log)
+    lines = log.getvalue().splitlines()
+    assert len(lines) == 2
+    pattern = r"\[sweep\] p=0\.5 depth=(\d+) samples=30 done in (\S+) s \((\d+) samples/s\)"
+    for line, depth in zip(lines, ("4", "6")):
+        match = re.fullmatch(pattern, line)
+        assert match is not None, line
+        assert match.group(1) == depth
+        assert float(match.group(2)) > 0.0 and int(match.group(3)) > 0

@@ -49,6 +49,12 @@ CASES = {
         "sweep", "--p", "0.5", "--p", "0.75", "--depth", "4", "--depth", "7",
         "--samples", "200", "--seed", "2",
     ],
+    # samples that fit the ensemble's block of uniforms and samples that outgrow it
+    "sweep-block.csv": [
+        "sweep", "--p", "0", "--p", "0.45", "--p", "0.6", "--p", "0.7", "--p", "0.9",
+        "--p", "1", "--depth", "1", "--depth", "12", "--depth", "16",
+        "--samples", "300", "--seed", "2021",
+    ],
 }
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from perccode import percolate
 from perccode.analytic import ModelParams, pgf_iterate
 from perccode.percolate import (
     Cluster,
+    SampleStreams,
     cluster_from_json,
     cluster_stream,
     cluster_to_dot,
@@ -246,6 +248,15 @@ def test_json_rejects_non_integer_depth_bound(text):
         cluster_from_json(doc)
 
 
+@pytest.mark.parametrize(
+    "root_gen, child_gen", [(0.0, 1), (0, True), (False, 1), (0, "1")]
+)
+def test_json_rejects_non_integer_gen(root_gen, child_gen):
+    doc = {"depth_bound": 2, "root": {"gen": root_gen, "left": {"gen": child_gen}}}
+    with pytest.raises(ValueError, match="generation"):
+        cluster_from_json(doc)
+
+
 def test_dot_output(seven_leaf_cluster):
     dot = cluster_to_dot(seven_leaf_cluster)
     assert dot.startswith("digraph cluster {")
@@ -259,6 +270,37 @@ def test_cluster_stream_rejects_negative():
         cluster_stream(-1, 0)
     with pytest.raises(ValueError):
         cluster_stream(0, -2)
+
+
+@pytest.mark.parametrize("seed, index", [(2**64, 0), (0, 2**64), (2**70, 3)])
+def test_cluster_stream_rejects_keys_past_64_bits(seed, index):
+    with pytest.raises(ValueError, match="2\\*\\*64"):
+        cluster_stream(seed, index)
+
+
+def test_large_seeds_key_distinct_streams():
+    # each seed is one exact 64-bit key word: no rounding, no wrap to 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        draws = [cluster_stream(s, 0).random(4).tolist() for s in (0, 2**63, 2**63 + 1, 2**64 - 1)]
+    assert len({tuple(d) for d in draws}) == 4
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**62 + 5, 2**63 + 1, 2**64 - 1])
+def test_sample_streams_match_cluster_stream(seed):
+    streams = SampleStreams(seed, 50)
+    for index in (3, 0, 49, 3):
+        streams.at(index).random(5)  # a part-used stream is reset by the next at()
+        assert streams.at(index).random(9).tolist() == cluster_stream(seed, index).random(9).tolist()
+
+
+def test_sample_streams_reject_out_of_range_keys():
+    with pytest.raises(ValueError):
+        SampleStreams(2**64, 1)
+    with pytest.raises(ValueError):
+        SampleStreams(1, 2**64 + 1)
+    with pytest.raises(IndexError):
+        SampleStreams(1, 4).at(4)
 
 
 def test_rng_version_is_pinned():

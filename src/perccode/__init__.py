@@ -50,6 +50,7 @@ from .percolate import (
     GenerationTally,
     cluster_stream,
     sample_cluster,
+    sample_tallies,
     sample_tally,
     survived,
     tally,

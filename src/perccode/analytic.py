@@ -88,18 +88,21 @@ class MomentPair:
 
 @dataclass(frozen=True)
 class LeafMoments:
-    """Mean of the generation-n leaf count, plus two variance conventions.
+    """Mean and exact variance of the generation-n leaf count, plus two
+    older variance conventions.
 
-    ``var_u1_scaled`` scales the node-count variance by the leaf
-    probability once (u1 * Var[N_n]); ``var_u1_squared`` scales it twice
-    (u1**2 * Var[N_n]).  The two conventions disagree with each other,
-    and exact enumeration (``oracle.exact_enumeration``) shows neither
-    equals the true leaf-count variance, e.g. Var[L_1] = 2pq^2(1-q^2+q^3).
-    Both are returned so callers can compare against the enumeration
-    oracle; neither is ground truth.
+    Given N_n, each node of generation n is a leaf independently with
+    probability u1 = q^2, so L_n is Binomial(N_n, u1) and by the law of total
+    variance ``var`` = u1 * u0 * E[N_n] + u1**2 * Var[N_n], e.g.
+    Var[L_1] = 2pq^2(1-q^2+q^3), which exact enumeration
+    (``oracle.exact_enumeration``) confirms.  ``var_u1_scaled`` scales the
+    node-count variance by the leaf probability once (u1 * Var[N_n]) and
+    ``var_u1_squared`` twice (u1**2 * Var[N_n]); the two disagree with each
+    other and neither equals the true variance.
     """
 
     mean: float
+    var: float
     var_u1_scaled: float
     var_u1_squared: float
 
@@ -169,15 +172,17 @@ def node_moments(params: ModelParams, n: int) -> MomentPair:
 
 
 def leaf_moments(params: ModelParams, n: int) -> LeafMoments:
-    """Mean plus both variance conventions for the generation-n leaf count.
+    """Mean, exact variance and both older variance conventions for the
+    generation-n leaf count.
 
     mean = u1*(2p)^n = q^2(2p)^n.  See :class:`LeafMoments` for how the
-    two variance fields differ and why both are reported.
+    variance fields differ.
     """
     nm = node_moments(params, n)
     u1 = params.u1
     return LeafMoments(
         mean=u1 * nm.mean,
+        var=u1 * params.u0 * nm.mean + u1 * u1 * nm.variance,
         var_u1_scaled=u1 * nm.variance,
         var_u1_squared=u1 * u1 * nm.variance,
     )

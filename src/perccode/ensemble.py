@@ -10,14 +10,9 @@ Clusters without leaves have no defined entropy/length; they are excluded
 from those two averages and counted in ``skipped_leafless``.  Standard
 errors are sample standard deviation / sqrt(count used).
 
-Sampling in blocks: one generator is re-keyed to ``(seed, i)`` before each
-sample, which draws its first ``k`` uniforms in one call.  Drawing ``a``
-numbers and then ``b`` reads what drawing ``a + b`` reads, so a block holds
-the per-generation batches of :func:`~perccode.percolate.sample_tally`
-back to back, and a chunk of samples is tallied one generation at a time
-for all of them at once.  A cluster that needs more than ``k`` uniforms is
-drawn again by ``sample_tally`` itself.  ``measures`` runs once per
-distinct leaf-count row.  Every number is the one the per-sample path gives.
+A cell is tallied in one call of :func:`~perccode.percolate.sample_tallies`
+and its entropy and length found once per distinct leaf-count row; every
+number is the one the per-sample path gives.
 
 Determinism: every per-sample result lands in a slot of a preallocated
 array indexed by sample, and reductions always run over the full arrays.
@@ -39,8 +34,8 @@ import numpy as np
 
 from . import analytic
 from .analytic import DomainError, ModelParams
-from .infomeasure import measures
-from .percolate import RNG_VERSION, GenerationTally, SampleStreams, sample_tally
+from .infomeasure import _leaf_measures
+from .percolate import RNG_VERSION, sample_tallies
 
 __all__ = [
     "CSV_COLUMNS",
@@ -132,78 +127,9 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
     return mean, float(values.std(ddof=1) / math.sqrt(n))
 
 
-# A block holds about this many times the cell's expected uniform count
-# 2 * sum_{g < depth} (2p)^g, which fits most clusters whole.
-_BLOCK_FACTOR = 4
-# Past this expected count nearly every cluster outgrows any block worth
-# drawing, so the block only catches those that die out early.
-_BLOCK_CAP = 512
-_SMALL_BLOCK = 32
-# Uniforms held at once (chunk x block): with their flags and running
-# counts, a working set of about 1 MB.
-_CHUNK_UNIFORMS = 1 << 16
-
-
-def _block_size(p: float, depth: int) -> int:
-    """Uniforms drawn up front per sample, a multiple of 4 (two per node)."""
-    expected, batch = 0.0, 2.0
-    for _ in range(depth):
-        expected += batch
-        # stopping here keeps (2p)^g of a deep supercritical cell finite
-        if expected > _BLOCK_CAP:
-            return _SMALL_BLOCK
-        batch *= 2.0 * p
-    return 4 * math.ceil(_BLOCK_FACTOR * expected / 4)
-
-
-def _chunk_tallies(params: ModelParams, depth: int, streams: SampleStreams):
-    """Yield ``(start, nodes, leaves)`` for consecutive chunks of samples:
-    node counts N_0..N_depth and leaf counts L_0..L_{depth-1}, one row per
-    sample from ``start`` on.  The arrays are reused by the next chunk.
-
-    Generation g of a sample reads flags s_g .. s_g + 2 N_g - 1 of its
-    block, so with C[j] the open flags among the first j,
-    N_{g+1} = C[s_g + 2 N_g] - C[s_g]; L_g counts closed pairs the same way.
-    """
-    p = params.p
-    samples = streams.count
-    k = _block_size(p, depth)
-    chunk = min(samples, _CHUNK_UNIFORMS // k)
-    uniforms = np.empty((chunk, k))
-    open_before = np.zeros((chunk, k + 1), dtype=np.int32)
-    leaves_before = np.zeros((chunk, k // 2 + 1), dtype=np.int32)
-    nodes = np.zeros((chunk, depth + 1), dtype=np.int64)
-    leaves = np.zeros((chunk, depth), dtype=np.int64)
-    nodes[:, 0] = 1
-    for start in range(0, samples, chunk):
-        n = min(chunk, samples - start)
-        for r in range(n):
-            streams.at(start + r).random(out=uniforms[r])
-        flags = uniforms[:n] < p
-        np.cumsum(flags, axis=1, out=open_before[:n, 1:])
-        # a node's two flags read as one 16-bit word are zero iff it is a leaf
-        np.cumsum(flags.view(np.uint16) == 0, axis=1, out=leaves_before[:n, 1:])
-        open_flat = open_before[:n].ravel()
-        leaf_flat = leaves_before[:n].ravel()
-        open_row = np.arange(n) * (k + 1)
-        leaf_row = np.arange(n) * (k // 2 + 1)
-        first = np.zeros(n, dtype=np.int64)
-        count = np.ones(n, dtype=np.int64)
-        overflow = np.zeros(n, dtype=bool)
-        for g in range(depth):
-            end = first + 2 * count
-            overflow |= end > k
-            # rows past their block read garbage here and are redone below
-            np.minimum(end, k, out=end)
-            leaves[:n, g] = leaf_flat[leaf_row + end // 2] - leaf_flat[leaf_row + first // 2]
-            count = open_flat[open_row + end] - open_flat[open_row + first]
-            nodes[:n, g + 1] = count
-            first = end
-        for r in np.flatnonzero(overflow).tolist():
-            t = sample_tally(params, depth, streams.at(start + r))
-            nodes[r] = t.node_counts
-            leaves[r] = t.leaf_counts
-        yield start, nodes[:n], leaves[:n]
+# Leaf-count rows turned into keys and lists at a time, which bounds the
+# memory those Python objects take in a large cell.
+_KEYED_ROWS = 1 << 12
 
 
 def run_ensemble(params: ModelParams, depth: int, samples: int, seed: int) -> EnsembleStats:
@@ -213,27 +139,24 @@ def run_ensemble(params: ModelParams, depth: int, samples: int, seed: int) -> En
         raise ValueError(f"samples must be >= 1, got {samples}")
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    streams = SampleStreams(seed, samples)
-    n_final = np.zeros(samples, dtype=np.int64)
-    leaf_counts = np.zeros((samples, depth), dtype=np.int64)
-    entropy = np.full(samples, np.nan)
-    length = np.full(samples, np.nan)
-    # Entropy and length depend on the leaf counts alone, so measures runs
-    # once per distinct row.  It stays scalar: NumPy's log2 and power differ
-    # from the math module's in the last bit for a few inputs in a thousand.
+    n_final, leaf_counts = sample_tallies(params, depth, seed, samples)
+    # Entropy and length depend on the leaf counts alone, so they are found
+    # once per distinct row, keyed by the row's bytes.  They stay scalar:
+    # NumPy's log2 and power differ from the math module's in the last bit
+    # for a few inputs in a thousand.
+    per_sample = np.empty((samples, 2))
+    powers = [params.p**n for n in range(depth)]
+    row_bytes = np.dtype((np.void, leaf_counts.itemsize * depth))
     measured = {}
-    for start, nodes, leaves in _chunk_tallies(params, depth, streams):
-        n_final[start : start + len(nodes)] = nodes[:, depth]
-        leaf_counts[start : start + len(leaves)] = leaves
-        for i, (node_row, leaf_row) in enumerate(zip(nodes, leaves), start):
-            key = leaf_row.tobytes()
-            value = measured.get(key)
-            if value is None:
-                m = measures(GenerationTally(depth, node_row.tolist(), leaf_row.tolist()), params.p)
-                value = measured[key] = (
-                    (m.entropy_bits, m.avg_length) if m.entropy_bits is not None else (np.nan, np.nan)
-                )
-            entropy[i], length[i] = value
+    for lo in range(0, samples, _KEYED_ROWS):
+        rows = leaf_counts[lo : lo + _KEYED_ROWS]
+        keys = rows.view(row_bytes).ravel().tolist()
+        for key, row in zip(keys, rows.tolist()):
+            if key not in measured:
+                measured[key] = _leaf_measures(row, powers)[1:]
+        # a leafless row's (None, None) is stored as NaN
+        per_sample[lo : lo + len(keys)] = [measured[key] for key in keys]
+    entropy, length = per_sample.T
     alive = n_final > 0
 
     usable = ~np.isnan(entropy)

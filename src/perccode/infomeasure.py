@@ -34,18 +34,19 @@ class ConfigMeasures:
     leaf_total: int
 
 
-def _entropy_given_lam(t: GenerationTally, p: float, lam: float) -> float:
-    total = 0.0
-    for n, count in enumerate(t.leaf_counts):
-        w = p**n
-        if count and w > 0.0:
+def _leaf_measures(counts: list[int], powers: list[float]):
+    """``(Lambda, entropy, average length)`` of the leaf counts L_0, L_1, ...
+    given ``powers[n] = p**n``; entropy and length are None when Lambda = 0."""
+    terms = [(n, count, powers[n]) for n, count in enumerate(counts) if count]
+    lam = math.fsum([count * w for _, count, w in terms])
+    if lam <= 0.0:
+        return 0.0, None, None
+    entropy = 0.0
+    for _, count, w in terms:
+        if w > 0.0:
             prob = w / lam
-            total -= count * prob * math.log2(prob)
-    return total
-
-
-def _avg_length_given_lam(t: GenerationTally, p: float, lam: float) -> float:
-    return math.fsum(n * count * p**n for n, count in enumerate(t.leaf_counts) if count) / lam
+            entropy -= count * prob * math.log2(prob)
+    return lam, entropy, math.fsum([n * count * w for n, count, w in terms]) / lam
 
 
 def measures(t: GenerationTally, p: float) -> ConfigMeasures:
@@ -58,15 +59,9 @@ def measures(t: GenerationTally, p: float) -> ConfigMeasures:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p!r}")
     p = float(p)
-    lam = math.fsum(count * p**n for n, count in enumerate(t.leaf_counts) if count)
-    leaf_total = sum(t.leaf_counts)
-    if lam <= 0.0:
-        return ConfigMeasures(
-            normalization=0.0, entropy_bits=None, avg_length=None, leaf_total=leaf_total
-        )
+    lam, entropy, length = _leaf_measures(
+        t.leaf_counts, [p**n for n in range(len(t.leaf_counts))]
+    )
     return ConfigMeasures(
-        normalization=lam,
-        entropy_bits=_entropy_given_lam(t, p, lam),
-        avg_length=_avg_length_given_lam(t, p, lam),
-        leaf_total=leaf_total,
+        normalization=lam, entropy_bits=entropy, avg_length=length, leaf_total=sum(t.leaf_counts)
     )

@@ -12,10 +12,13 @@ cluster is a pure function of ``(seed, index, p, depth_bound)`` however
 calls are scheduled.  Per generation a single batch of ``2 * N_g``
 uniforms is consumed, nodes in breadth-first order, each node's left edge
 value before its right edge value; an edge is open iff its value is < p.
+:func:`sample_tallies` tallies samples ``0 .. n - 1`` of a seed at once
+from the same streams, with the same numbers as :func:`sample_tally`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +33,7 @@ __all__ = [
     "SampleStreams",
     "sample_cluster",
     "sample_tally",
+    "sample_tallies",
     "tally",
     "survived",
     "cluster_to_json",
@@ -147,6 +151,111 @@ def sample_tally(params: ModelParams, depth_bound: int, stream) -> GenerationTal
     """Per-generation counts of one sampled cluster:
     ``tally(sample_cluster(params, depth_bound, stream))``."""
     return tally(sample_cluster(params, depth_bound, stream))
+
+
+# A first block holds about this many times the cell's expected uniform
+# count 2 * sum_{g < depth} (2p)^g, which fits most clusters whole; a
+# cluster that outgrows it is drawn again into a block this many times larger.
+_BLOCK_FACTOR = 4
+# Past this expected count nearly every cluster outgrows any block worth
+# drawing, so one small block only catches those that die out early.
+_BLOCK_CAP = 512
+_SMALL_BLOCK = 32
+# Uniforms held at once (chunk x block): with their flags and running
+# counts, a working set of about 1 MB.
+_CHUNK_UNIFORMS = 1 << 16
+
+
+def _block_sizes(p: float, depth: int) -> tuple[int, ...]:
+    """Uniforms drawn per sample in each batch pass, multiples of 4 (two per
+    node); a cluster outgrowing the last is drawn by ``sample_tally``."""
+    expected, batch = 0.0, 2.0
+    for _ in range(depth):
+        expected += batch
+        # stopping here keeps (2p)^g of a deep supercritical cell finite
+        if expected > _BLOCK_CAP:
+            return (_SMALL_BLOCK,)
+        batch *= 2.0 * p
+    k = 4 * max(1, math.ceil(_BLOCK_FACTOR * expected / 4))
+    return (k, _BLOCK_FACTOR * k)
+
+
+def _tally_blocks(p, depth, streams, rows, k, final, leaves) -> np.ndarray:
+    """Tally the samples ``rows`` from their first ``k`` uniforms into
+    ``final`` and ``leaves``; return the rows whose clusters need more.
+
+    A chunk of samples is tallied one generation at a time for all of
+    them.  Generation g of a sample reads flags s_g .. s_g + 2 N_g - 1 of
+    its block, so with C[j] the open flags among the first j,
+    N_{g+1} = C[s_g + 2 N_g] - C[s_g]; L_g counts closed pairs the same way.
+    """
+    if len(rows) == 0:
+        return rows
+    chunk = min(len(rows), _CHUNK_UNIFORMS // k)
+    uniforms = np.empty((chunk, k))
+    open_before = np.zeros((chunk, k + 1), dtype=np.int32)
+    leaves_before = np.zeros((chunk, k // 2 + 1), dtype=np.int32)
+    chunk_leaves = np.empty((chunk, depth), dtype=np.int64)
+    outgrown = np.zeros(len(rows), dtype=bool)
+    for lo in range(0, len(rows), chunk):
+        batch = rows[lo : lo + chunk]
+        n = len(batch)
+        for r, i in enumerate(batch.tolist()):
+            streams.at(i).random(out=uniforms[r])
+        flags = uniforms[:n] < p
+        np.cumsum(flags, axis=1, out=open_before[:n, 1:])
+        # a node's two flags read as one 16-bit word are zero iff it is a leaf
+        np.cumsum(flags.view(np.uint16) == 0, axis=1, out=leaves_before[:n, 1:])
+        open_flat = open_before[:n].ravel()
+        leaf_flat = leaves_before[:n].ravel()
+        open_row = np.arange(n) * (k + 1)
+        leaf_row = np.arange(n) * (k // 2 + 1)
+        first = np.zeros(n, dtype=np.int64)
+        count = np.ones(n, dtype=np.int64)
+        overflow = outgrown[lo : lo + n]
+        for g in range(depth):
+            end = first + 2 * count
+            overflow |= end > k
+            # rows past their block read garbage here and are redone later
+            np.minimum(end, k, out=end)
+            chunk_leaves[:n, g] = leaf_flat[leaf_row + end // 2] - leaf_flat[leaf_row + first // 2]
+            count = open_flat[open_row + end] - open_flat[open_row + first]
+            first = end
+        final[batch] = count
+        leaves[batch] = chunk_leaves[:n]
+    return rows[outgrown]
+
+
+def sample_tallies(
+    params: ModelParams, depth_bound: int, seed: int, samples: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Tallies of samples ``0 .. samples - 1`` of master ``seed`` at once:
+    int64 arrays of the final node counts N_depth_bound, one per sample, and
+    of the leaf counts L_0 .. L_{depth_bound - 1}, one row per sample, each
+    equal to what ``sample_tally(params, depth_bound, cluster_stream(seed,
+    i))`` counts.
+
+    Drawing ``a`` numbers and then ``b`` reads what drawing ``a + b``
+    reads, so each sample draws a block of ``k`` uniforms at once, about
+    four times the cell's expected count, and the block holds the
+    per-generation batches back to back.  Samples that outgrow it are drawn
+    again into blocks of ``4k``, and those that outgrow that too go through
+    ``sample_tally``, one generation at a time.  Where the expected count
+    passes 512, ``k`` is 32 and there is no second block.
+    """
+    if depth_bound < 0:
+        raise ValueError(f"depth_bound must be >= 0, got {depth_bound}")
+    streams = SampleStreams(seed, samples)
+    final = np.empty(samples, dtype=np.int64)
+    leaves = np.empty((samples, depth_bound), dtype=np.int64)
+    rest = np.arange(samples)
+    for k in _block_sizes(params.p, depth_bound):
+        rest = _tally_blocks(params.p, depth_bound, streams, rest, k, final, leaves)
+    for i in rest.tolist():
+        t = sample_tally(params, depth_bound, streams.at(i))
+        final[i] = t.node_counts[depth_bound]
+        leaves[i] = t.leaf_counts
+    return final, leaves
 
 
 def tally(cluster: Cluster) -> GenerationTally:

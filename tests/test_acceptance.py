@@ -18,8 +18,8 @@ from perccode.ensemble import EnsembleConfig, csv_text, run_ensemble, sweep
 from perccode.percolate import (
     cluster_stream,
     sample_cluster,
+    sample_tallies,
     sample_tally,
-    survived,
     tally,
 )
 
@@ -100,11 +100,8 @@ def test_c4_distribution_level_simulation():
     t0 = time.perf_counter()
     m = ModelParams(0.5)
     depth, samples = 8, 200_000
-    hist = np.zeros(2**depth + 1)
-    for i in range(samples):
-        t = sample_tally(m, depth, cluster_stream(80808, i))
-        hist[t.node_counts[depth]] += 1.0
-    hist /= samples
+    final, _ = sample_tallies(m, depth, 80808, samples)
+    hist = np.bincount(final, minlength=2**depth + 1) / samples
     exact = oracle.node_distribution(m, depth).probs
     tv = 0.5 * float(np.abs(hist - exact).sum())
     elapsed = time.perf_counter() - t0
@@ -117,11 +114,8 @@ def test_c4_distribution_level_simulation():
 def test_c5_extinction():
     m = ModelParams(0.6)
     depth, samples = 16, 100_000
-    dead = 0
-    for i in range(samples):
-        if not survived(sample_tally(m, depth, cluster_stream(160160, i))):
-            dead += 1
-    frac = dead / samples
+    final, _ = sample_tallies(m, depth, 160160, samples)
+    frac = int(np.count_nonzero(final == 0)) / samples
     target = analytic.pgf_iterate(m, depth, 0.0)
     se = math.sqrt(target * (1.0 - target) / samples)
     band_ok = abs(frac - target) <= 3 * se

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -135,6 +136,21 @@ def test_leaf_moments_examples():
     assert lm3.var_u1_scaled == pytest.approx(0.375, abs=1e-12)  # 2npq^3 = n/8
     lm1 = analytic.leaf_moments(m, 1)
     assert lm1.var_u1_squared == pytest.approx(0.03125, abs=1e-12)  # q^4 * Var[N_1]
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5, 0.6])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_leaf_variance_matches_exact_distribution(p, n):
+    m = ModelParams(p)
+    marginal = oracle.joint_leaf_distribution(m, n).leaf_marginal()
+    i = np.arange(len(marginal))
+    mean = float(i @ marginal)
+    truth = float((i * i) @ marginal) - mean * mean
+    assert analytic.leaf_moments(m, n).var == pytest.approx(truth, rel=1e-12, abs=1e-12)
+
+
+def test_leaf_variance_example():
+    assert analytic.leaf_moments(ModelParams(0.5), 1).var == pytest.approx(0.21875, abs=1e-15)
 
 
 def test_leaf_variance_conventions_disagree():

@@ -6,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from perccode import analytic
+from perccode import analytic, percolate
 from perccode.analytic import DomainError, ModelParams, pgf_iterate
 from perccode.ensemble import (
     CSV_COLUMNS,
@@ -208,8 +208,19 @@ def reference_ensemble(params, depth, samples, seed):
     )
 
 
+def uniforms_needed(params, depth, samples, seed):
+    """The uniforms each sample's cluster reads, 2 * sum_{g < depth} N_g."""
+    return np.array(
+        [
+            2 * sum(sample_tally(params, depth, cluster_stream(seed, i)).node_counts[:depth])
+            for i in range(samples)
+        ]
+    )
+
+
 # single samples, large seeds, several chunks of samples, samples that fit
-# their block of uniforms and samples that outgrow it
+# their first block of uniforms and samples that outgrow it; in the last
+# two cells some outgrow the escalated block too (see the next test)
 @pytest.mark.parametrize(
     "p, depth, samples, seed",
     [
@@ -222,6 +233,8 @@ def reference_ensemble(params, depth, samples, seed):
         (0.3, 5, 500, 2**64 - 1),
         (0.0, 3, 20, 5),
         (1.0, 4, 10, 2**62),
+        (0.5, 30, 400, 3),
+        (0.4, 30, 200, 32),
     ],
 )
 def test_matches_per_sample_reference(p, depth, samples, seed):
@@ -229,6 +242,25 @@ def test_matches_per_sample_reference(p, depth, samples, seed):
     assert run_ensemble(params, depth, samples, seed) == reference_ensemble(
         params, depth, samples, seed
     )
+
+
+@pytest.mark.parametrize(
+    "p, depth, samples, seed, at_edges", [(0.5, 30, 400, 3, False), (0.4, 30, 200, 32, True)]
+)
+def test_reference_cells_reach_every_pass(p, depth, samples, seed, at_edges):
+    # some samples outgrow the first block and fit the escalated one, and
+    # one outgrows both and is drawn by sample_tally alone; flags come in
+    # pairs, so where at_edges holds one sample reads exactly two uniforms
+    # past the first block and one exactly two past the escalated block, and
+    # an off-by-one in either pass changes that cell
+    first, last = percolate._block_sizes(p, depth)
+    needed = uniforms_needed(ModelParams(p), depth, samples, seed)
+    escalated = int(np.count_nonzero((needed > first) & (needed <= last)))
+    alone = int(np.count_nonzero(needed > last))
+    print(f"p={p} depth={depth}: {escalated} escalated, {alone} drawn alone")
+    assert escalated >= 1 and alone >= 1
+    if at_edges:
+        assert first + 2 in needed and last + 2 in needed
 
 
 def test_keys_past_64_bits_are_rejected_before_any_work():

@@ -16,6 +16,7 @@ from perccode.percolate import (
     cluster_to_dot,
     cluster_to_json,
     sample_cluster,
+    sample_tallies,
     sample_tally,
     survived,
     tally,
@@ -163,12 +164,9 @@ def test_sample_means_match_closed_forms():
     # mean N_8 ~ mu^8 = 1 and mean L_3 ~ q^2 (2p)^3 = 0.25 at p = 0.5
     m = ModelParams(0.5)
     samples = 100_000
-    n8 = np.empty(samples)
-    l3 = np.empty(samples)
-    for i in range(samples):
-        t = sample_tally(m, 8, cluster_stream(424242, i))
-        n8[i] = t.node_counts[8]
-        l3[i] = t.leaf_counts[3]
+    final, leaves = sample_tallies(m, 8, 424242, samples)
+    n8 = final.astype(float)
+    l3 = leaves[:, 3].astype(float)
     se_n = n8.std(ddof=1) / math.sqrt(samples)
     se_l = l3.std(ddof=1) / math.sqrt(samples)
     assert abs(n8.mean() - 1.0) <= 3 * se_n
@@ -178,11 +176,8 @@ def test_sample_means_match_closed_forms():
 def test_death_frequency_matches_pgf_iterate():
     m = ModelParams(0.6)
     depth, samples = 12, 20000
-    dead = 0
-    for i in range(samples):
-        if not survived(sample_tally(m, depth, cluster_stream(777, i))):
-            dead += 1
-    frac = dead / samples
+    final, _ = sample_tallies(m, depth, 777, samples)
+    frac = int(np.count_nonzero(final == 0)) / samples
     target = pgf_iterate(m, depth, 0.0)
     se = math.sqrt(target * (1 - target) / samples)
     assert abs(frac - target) <= 3 * se
@@ -301,6 +296,28 @@ def test_sample_streams_reject_out_of_range_keys():
         SampleStreams(1, 2**64 + 1)
     with pytest.raises(IndexError):
         SampleStreams(1, 4).at(4)
+
+
+# depth 0, the boundary densities, one block only, and the escalated block
+@pytest.mark.parametrize(
+    "p, depth, seed, samples",
+    [(0.6, 0, 3, 5), (0.0, 4, 3, 7), (1.0, 5, 3, 3), (0.8, 12, 2**64 - 60, 60), (0.45, 30, 2, 400)],
+)
+def test_sample_tallies_match_sample_tally(p, depth, seed, samples):
+    m = ModelParams(p)
+    final, leaves = sample_tallies(m, depth, seed, samples)
+    assert final.dtype == leaves.dtype == np.int64
+    assert final.shape == (samples,) and leaves.shape == (samples, depth)
+    for i in range(samples):
+        t = sample_tally(m, depth, cluster_stream(seed, i))
+        assert (final[i], leaves[i].tolist()) == (t.node_counts[depth], t.leaf_counts)
+
+
+def test_sample_tallies_reject_bad_arguments():
+    with pytest.raises(ValueError):
+        sample_tallies(ModelParams(0.5), -1, 0, 4)
+    with pytest.raises(ValueError):
+        sample_tallies(ModelParams(0.5), 4, 2**64, 4)
 
 
 def test_rng_version_is_pinned():

@@ -18,6 +18,7 @@ from .analytic import (
     extinction_probability,
     lambda_mean,
     lambda_var,
+    lambda_var_exact,
     leaf_moments,
     leaf_pgf_eval,
     node_moments,

@@ -32,6 +32,7 @@ __all__ = [
     "leaf_moments",
     "lambda_mean",
     "lambda_var",
+    "lambda_var_exact",
     "expected_entropy",
     "expected_code_length",
 ]
@@ -206,7 +207,8 @@ def lambda_var(params: ModelParams) -> float:
     """Variance of the leaf-weight normalization over cluster realizations.
 
     Equals 1/4 at p = 1/2 and 2p^2 q^3 / ((1 - 4p^3)(1 - 2p^2)) elsewhere;
-    the series behind it converges only for 4*p^3 < 1.
+    the series behind it converges only for 4*p^3 < 1.  This older closed
+    form is not the true variance (1/8 at p = 1/2): see :func:`lambda_var_exact`.
     """
     p, q = params.p, params.q
     if p == 0.5:
@@ -217,6 +219,18 @@ def lambda_var(params: ModelParams) -> float:
             "finite only for 4*p^3 < 1, i.e. p < cbrt(1/4) ~= 0.62996"
         )
     return 2.0 * p**2 * q**3 / ((1.0 - 4.0 * p**3) * (1.0 - 2.0 * p**2))
+
+
+def lambda_var_exact(params: ModelParams) -> float:
+    """Exact variance of the leaf-weight normalization Lambda.
+
+    The first-step recursion Lambda = 1{root is a leaf} + p(B1 Lambda1 +
+    B2 Lambda2) gives (q^2 + 2p^4 m^2)/(1 - 2p^3) - m^2 with m = lambda_mean,
+    finite wherever the mean is (2p^2 < 1); 1/8 at p = 1/2.
+    """
+    m = lambda_mean(params)
+    p, q = params.p, params.q
+    return (q * q + 2.0 * p**4 * m * m) / (1.0 - 2.0 * p**3) - m * m
 
 
 def expected_entropy(params: ModelParams) -> float:

@@ -6,10 +6,17 @@ file-loaded cluster), ``ensemble`` (one Monte Carlo cell as JSON),
 ``sweep`` (CSV over a p/depth grid), ``oracle`` (exhaustive-enumeration
 stats as JSON), and ``decode`` (parse a bitstring against a codebook).
 
-Exit codes: 0 success, 2 usage error, 1 domain/runtime error.  Every run
-logs its full parameter set and the RNG version tag to stderr.  Seeds
-default to the fixed constant ``DEFAULT_SEED`` so bare invocations are
-reproducible.
+Each subcommand declares exactly the flags it reads.  ``sample``,
+``codebook``, ``ensemble`` and ``oracle`` work on one ``(p, depth)`` cell:
+they take one ``--p`` and one ``--depth``, and a repeated flag keeps its
+last value.  Only ``analytic --p`` and ``sweep --p``/``--depth`` repeat.
+On every subcommand ``--out PATH`` writes the output to PATH instead of
+stdout.
+
+Exit codes: 0 success, 2 usage error, 1 domain/runtime error, including
+an allocation the machine cannot make.  Every run logs its full
+parameter set and the RNG version tag to stderr.  Seeds default to the
+fixed constant ``DEFAULT_SEED`` so bare invocations are reproducible.
 """
 
 from __future__ import annotations
@@ -51,8 +58,8 @@ def _json_too_deep() -> ValueError:
 
 def _analytic_table(p: float) -> dict:
     params = ModelParams(p)
-    # lambda (and with it the expected entropy/length) must exist for the
-    # table to make sense; its variance has a narrower window and may be null
+    # lambda (and with it the expected entropy/length) must exist for the table
+    # to make sense; only the older variance has a narrower window and may be null
     table = {
         "p": params.p,
         "q": params.q,
@@ -66,21 +73,20 @@ def _analytic_table(p: float) -> dict:
     except DomainError as exc:
         print(f"[perccode analytic] note: {exc}", file=sys.stderr)
         table["lambda_var"] = None
+    table["lambda_var_exact"] = analytic.lambda_var_exact(params)
     return table
 
 
 def _cmd_analytic(args: argparse.Namespace) -> int:
-    ps = args.p if args.p else [0.5]
-    tables = [_analytic_table(p) for p in ps]
+    tables = [_analytic_table(p) for p in args.p or [0.5]]
     doc = tables[0] if len(tables) == 1 else tables
     _emit(json.dumps(doc, indent=2) + "\n", args.out)
     return 0
 
 
 def _sample_cluster_from_args(args: argparse.Namespace) -> percolate.Cluster:
-    params = ModelParams(args.p[0] if args.p else 0.5)
     stream = percolate.cluster_stream(args.seed, args.index)
-    return percolate.sample_cluster(params, args.depth[0] if args.depth else 8, stream)
+    return percolate.sample_cluster(ModelParams(args.p), args.depth, stream)
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
@@ -107,61 +113,31 @@ def _cmd_codebook(args: argparse.Namespace) -> int:
     else:
         cluster = _sample_cluster_from_args(args)
     book = codec.extract_codebook(cluster)
-    weights = None
-    if args.weights:
-        p = args.p[0] if args.p else 0.5
-        weights = codec.bernoulli_weights(book, p)
+    weights = codec.bernoulli_weights(book, args.p) if args.weights else None
     _emit(codec.format_codebook(book, weights), args.out)
     return 0
 
 
 def _cmd_ensemble(args: argparse.Namespace) -> int:
-    params = ModelParams(args.p[0] if args.p else 0.5)
-    depth = args.depth[0] if args.depth else 8
-    stats = ensemble.run_ensemble(params, depth, args.samples, args.seed)
-    if args.out is not None:
-        with open(args.out, "w", encoding="ascii", newline="") as fh:
-            ensemble.write_csv([stats], fh)
-    doc = {
-        k: v
-        for k, v in stats.__dict__.items()
-        if k not in ("mean_leaf_counts", "se_leaf_counts")
-    }
-    doc["mean_leaf_counts"] = stats.mean_leaf_counts
-    doc["se_leaf_counts"] = stats.se_leaf_counts
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+    stats = ensemble.run_ensemble(ModelParams(args.p), args.depth, args.samples, args.seed)
+    doc = dict(vars(stats))
+    for key in ("mean_leaf_counts", "se_leaf_counts"):
+        doc[key] = doc.pop(key)
+    _emit(json.dumps(doc, indent=2) + "\n", args.out)
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = ensemble.EnsembleConfig(
-        p_values=args.p,
-        depths=args.depth if args.depth is not None else [8],
-        samples=args.samples,
-        seed=args.seed,
+        p_values=args.p, depths=args.depth or [8], samples=args.samples, seed=args.seed
     )
-    rows = ensemble.sweep(config)
-    _emit(ensemble.csv_text(rows), args.out)
+    _emit(ensemble.csv_text(ensemble.sweep(config)), args.out)
     return 0
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    params = ModelParams(args.p[0] if args.p else 0.5)
-    depth = args.depth[0] if args.depth else 3
-    stats = oracle.exact_enumeration(params, depth)
-    doc = {
-        "p": stats.p,
-        "depth": stats.depth,
-        "node_mean": stats.node_mean,
-        "node_var": stats.node_var,
-        "leaf_mean": stats.leaf_mean,
-        "leaf_var": stats.leaf_var,
-        "mean_normalization": stats.mean_normalization,
-        "mean_entropy_bits": stats.mean_entropy_bits,
-        "mean_avg_length": stats.mean_avg_length,
-        "leafless_probability": stats.leafless_probability,
-        "node_distributions": [d.tolist() for d in stats.node_distributions],
-    }
+    doc = dict(vars(oracle.exact_enumeration(ModelParams(args.p), args.depth)))
+    doc["node_distributions"] = [d.tolist() for d in doc.pop("node_distributions")]
     _emit(json.dumps(doc, indent=2) + "\n", args.out)
     return 0
 
@@ -176,21 +152,19 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(sub: argparse.ArgumentParser, *, seed: bool = True) -> None:
-    sub.add_argument(
-        "--p", action="append", type=float, metavar="P",
-        help="percolation density in [0, 1]; repeatable where a grid makes sense",
+def _cell(depth: int) -> argparse.ArgumentParser:
+    # one parser per default depth: subparsers share their parents' flag
+    # objects, so set_defaults(depth=...) on one would change them all
+    cell = argparse.ArgumentParser(add_help=False)
+    cell.add_argument(
+        "--p", type=float, default=0.5, metavar="P",
+        help="percolation density in [0, 1] (default %(default)s)",
     )
-    sub.add_argument(
-        "--depth", action="append", type=int, metavar="N",
-        help="maximum generation sampled; repeatable where a grid makes sense",
+    cell.add_argument(
+        "--depth", type=int, default=depth, metavar="N",
+        help="maximum generation sampled (default %(default)s)",
     )
-    sub.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
-    if seed:
-        sub.add_argument(
-            "--seed", type=int, default=DEFAULT_SEED, metavar="S",
-            help=f"master seed (default {DEFAULT_SEED}; fixed, never time-based)",
-        )
+    return cell
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -200,64 +174,68 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_analytic = sub.add_parser(
-        "analytic", help="closed-form table (lambda, variance, entropy, length) as JSON"
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument(
+        "--seed", type=int, default=DEFAULT_SEED, metavar="S",
+        help=f"master seed (default {DEFAULT_SEED}; fixed, never time-based)",
     )
-    _add_common(p_analytic, seed=False)
-    p_analytic.set_defaults(func=_cmd_analytic)
+    index = argparse.ArgumentParser(add_help=False)
+    index.add_argument("--index", type=int, default=0, help="sample index within the seed")
+    samples = argparse.ArgumentParser(add_help=False)
+    samples.add_argument("--samples", type=int, default=10000, help="clusters per cell")
+    cell = _cell(8)
 
-    p_sample = sub.add_parser("sample", help="sample one cluster and dump it")
-    _add_common(p_sample)
-    p_sample.add_argument("--index", type=int, default=0, help="sample index within the seed")
+    def add(name, func, parents, summary):
+        command = sub.add_parser(name, parents=[*parents, out], help=summary)
+        command.set_defaults(func=func)
+        return command
+
+    # repeatable flags keep default=None: argparse appends to a default list
+    p_analytic = add("analytic", _cmd_analytic, [], "closed-form table as JSON")
+    p_analytic.add_argument(
+        "--p", action="append", type=float, metavar="P",
+        help="percolation density; repeat for one table per value (default 0.5)",
+    )
+
+    p_sample = add("sample", _cmd_sample, [cell, seed, index], "sample one cluster and dump it")
     p_sample.add_argument("--format", choices=["json", "dot"], default="json")
-    p_sample.set_defaults(func=_cmd_sample)
 
-    p_book = sub.add_parser(
-        "codebook", help="codeword listing for a sampled or file-loaded cluster"
-    )
-    _add_common(p_book)
-    p_book.add_argument("--index", type=int, default=0, help="sample index within the seed")
+    p_book = add("codebook", _cmd_codebook, [cell, seed, index], "codeword listing of a cluster")
     p_book.add_argument("--cluster", metavar="PATH", help="load a cluster JSON dump")
     p_book.add_argument(
         "--weights", action="store_true",
         help="append the normalized leaf probability as a second column",
     )
-    p_book.set_defaults(func=_cmd_codebook)
 
-    p_ens = sub.add_parser("ensemble", help="one Monte Carlo cell, stats as JSON")
-    _add_common(p_ens)
-    p_ens.add_argument("--samples", type=int, default=10000)
-    p_ens.set_defaults(func=_cmd_ensemble)
+    add("ensemble", _cmd_ensemble, [cell, seed, samples], "one Monte Carlo cell, stats as JSON")
 
-    p_sweep = sub.add_parser("sweep", help="Monte Carlo grid over p x depth, CSV out")
-    _add_common(p_sweep)
-    p_sweep.add_argument("--samples", type=int, default=10000)
-    p_sweep.set_defaults(func=_cmd_sweep)
-
-    p_oracle = sub.add_parser(
-        "oracle", help="exhaustive-enumeration ground truth (depth <= 3) as JSON"
+    p_sweep = add("sweep", _cmd_sweep, [seed, samples], "Monte Carlo grid over p x depth, CSV out")
+    p_sweep.add_argument(
+        "--p", action="append", type=float, metavar="P", required=True,
+        help="percolation density in [0, 1]; repeat for a grid",
     )
-    _add_common(p_oracle, seed=False)
-    p_oracle.set_defaults(func=_cmd_oracle)
+    p_sweep.add_argument(
+        "--depth", action="append", type=int, metavar="N",
+        help="maximum generation sampled; repeat for a grid (default 8)",
+    )
 
-    p_decode = sub.add_parser("decode", help="parse a bitstring against a codebook file")
+    add("oracle", _cmd_oracle, [_cell(3)], "exhaustive enumeration (depth <= 3) as JSON")
+
+    p_decode = add("decode", _cmd_decode, [], "parse a bitstring against a codebook file")
     p_decode.add_argument("--book", required=True, metavar="PATH")
     p_decode.add_argument("--bits", required=True, metavar="BITS")
-    p_decode.add_argument("--out", metavar="PATH")
-    p_decode.set_defaults(func=_cmd_decode)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "sweep" and not args.p:
-        parser.error("sweep needs at least one --p")
+    args = build_parser().parse_args(argv)
     _log_invocation(args.command, args)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"perccode {args.command}: error: {exc}", file=sys.stderr)
         return 1
 

@@ -76,11 +76,12 @@ def kraft_sum(book: CodeBook) -> float:
 
 
 def is_prefix_free(book: CodeBook) -> bool:
-    """True iff no codeword is a proper prefix of another (empty book: True)."""
+    """True iff no codeword is a prefix of another, a repeated word
+    included (empty book: True)."""
     ordered = sorted(book.words)
     for a, b in zip(ordered, ordered[1:]):
-        # in sorted order a proper prefix lands immediately before an extension
-        if len(a) < len(b) and b.startswith(a):
+        # in sorted order a prefix, or a repeat, lands immediately before its extension
+        if b.startswith(a):
             return False
     return True
 

@@ -24,7 +24,6 @@ alone or inside any sweep.
 
 from __future__ import annotations
 
-import io
 import math
 import sys
 import time
@@ -43,7 +42,6 @@ __all__ = [
     "EnsembleStats",
     "run_ensemble",
     "sweep",
-    "write_csv",
     "csv_text",
 ]
 
@@ -203,10 +201,9 @@ def _cell(value: float | None) -> str:
     return "" if value is None else repr(value)
 
 
-def write_csv(rows: list[EnsembleStats], out) -> None:
-    """Emit the fixed-column CSV (leading comment row carries the RNG tag)."""
-    out.write(f"# rng_version={RNG_VERSION}\n")
-    out.write(",".join(CSV_COLUMNS) + "\n")
+def csv_text(rows: list[EnsembleStats]) -> str:
+    """The fixed-column CSV (leading comment row carries the RNG tag)."""
+    lines = [f"# rng_version={RNG_VERSION}", ",".join(CSV_COLUMNS)]
     for r in rows:
         fields = [
             repr(r.p),
@@ -225,7 +222,8 @@ def write_csv(rows: list[EnsembleStats], out) -> None:
             _cell(r.analytic_L),
             _cell(r.analytic_lambda),
         ]
-        out.write(",".join(fields) + "\n")
+        lines.append(",".join(fields))
+    return "\n".join(lines) + "\n"
 
 
 def sweep(config: EnsembleConfig, log=sys.stderr) -> list[EnsembleStats]:
@@ -245,9 +243,3 @@ def sweep(config: EnsembleConfig, log=sys.stderr) -> list[EnsembleStats]:
                 )
     return rows
 
-
-def csv_text(rows: list[EnsembleStats]) -> str:
-    """CSV as a string (handy for stdout emission and byte-level tests)."""
-    buf = io.StringIO()
-    write_csv(rows, buf)
-    return buf.getvalue()

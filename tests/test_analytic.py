@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from perccode import analytic, oracle
+from perccode import analytic, oracle, percolate
 from perccode.analytic import DomainError, ModelParams
 
 
@@ -187,6 +187,68 @@ def test_lambda_var_examples():
     )
     with pytest.raises(DomainError):
         analytic.lambda_var(ModelParams(0.65))
+
+
+def _lambda_moments_to_depth(p: float, depth: int) -> tuple[float, float]:
+    """Mean and variance of Lambda_d = sum_{n<d} L_n p^n by the first-step
+    recursion Lambda_d = 1{root is a leaf} + p(B1 Lambda'_{d-1} + B2 Lambda''_{d-1})."""
+    q = 1.0 - p
+    mean = second = 0.0
+    for _ in range(depth):
+        mean, second = (
+            q * q + 2.0 * p * p * mean,
+            q * q + 2.0 * p**3 * second + 2.0 * p**4 * mean * mean,
+        )
+    return mean, second - mean * mean
+
+
+@pytest.mark.parametrize("p", [0.2, 0.5, 0.6, 0.7])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_lambda_recursion_matches_enumeration(p, depth):
+    # brute force over every edge assignment of the depth-d tree
+    n_edges = 2 ** (depth + 1) - 2
+    weights, lams = [], []
+    for mask in range(1 << n_edges):
+        opened = mask.bit_count()
+        weights.append(p**opened * (1.0 - p) ** (n_edges - opened))
+        leaves = percolate.tally(oracle._cluster_from_mask(mask, depth)).leaf_counts
+        lams.append(math.fsum(count * p**n for n, count in enumerate(leaves)))
+    mean = math.fsum(w * lam for w, lam in zip(weights, lams))
+    var = math.fsum(w * lam * lam for w, lam in zip(weights, lams)) - mean * mean
+    want_mean, want_var = _lambda_moments_to_depth(p, depth)
+    assert mean == pytest.approx(want_mean, abs=1e-12)
+    assert var == pytest.approx(want_var, abs=1e-12)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 0.6, 0.65, 0.68])
+def test_lambda_var_exact_is_the_recursion_limit(p):
+    params = ModelParams(p)
+    mean, var = _lambda_moments_to_depth(p, 2000)
+    assert mean == pytest.approx(analytic.lambda_mean(params), rel=1e-9)
+    assert var == pytest.approx(analytic.lambda_var_exact(params), rel=1e-9)
+
+
+def test_lambda_var_exact_examples():
+    assert analytic.lambda_var_exact(ModelParams(0.5)) == 0.125
+    # finite where the older lambda_var raises
+    assert math.isfinite(analytic.lambda_var_exact(ModelParams(0.65)))
+    assert analytic.lambda_var_exact(ModelParams(0.0)) == 0.0
+    with pytest.raises(DomainError):
+        analytic.lambda_var_exact(ModelParams(math.sqrt(0.5)))
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5, 0.6])
+def test_lambda_var_exact_matches_monte_carlo(p):
+    depth, samples = 24, 10000
+    params = ModelParams(p)
+    _, leaves = percolate.sample_tallies(params, depth, 17, samples)
+    lam = leaves @ np.array([p**n for n in range(depth)])
+    dev2 = (lam - lam.mean()) ** 2
+    se = math.sqrt(dev2.var(ddof=1) / samples)
+    exact = analytic.lambda_var_exact(params)
+    # the generations cut off below depth 24 move the variance by < se / 20
+    assert abs(_lambda_moments_to_depth(p, depth)[1] - exact) < se / 20
+    assert abs(lam.var(ddof=1) - exact) < 3 * se
 
 
 def test_expected_entropy_examples():

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -32,6 +33,7 @@ def test_analytic_table(capsys):
     assert doc["expected_code_length"] == pytest.approx(2.571429, abs=1e-6)
     assert doc["lambda_mean"] == pytest.approx(0.571429, abs=1e-6)
     assert doc["lambda_var"] == pytest.approx(1.21008, abs=1e-5)
+    assert doc["lambda_var_exact"] == pytest.approx(0.104168, abs=1e-6)
     assert doc["extinction_probability"] == pytest.approx(4 / 9, abs=1e-12)
     assert "rng=" in err
 
@@ -55,6 +57,7 @@ def test_analytic_variance_window_is_nullable(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["lambda_var"] is None
+    assert doc["lambda_var_exact"] == pytest.approx(0.141876, abs=1e-6)
     assert "cbrt(1/4)" in err
 
 
@@ -72,6 +75,69 @@ def test_usage_errors_exit_two(capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
+
+
+FLAGS = {
+    "analytic": {"--p", "--out"},
+    "sample": {"--p", "--depth", "--seed", "--index", "--format", "--out"},
+    "codebook": {"--p", "--depth", "--seed", "--index", "--cluster", "--weights", "--out"},
+    "ensemble": {"--p", "--depth", "--seed", "--samples", "--out"},
+    "sweep": {"--p", "--depth", "--seed", "--samples", "--out"},
+    "oracle": {"--p", "--depth", "--out"},
+    "decode": {"--book", "--bits", "--out"},
+}
+
+
+def test_each_subcommand_declares_exactly_its_flags():
+    (commands,) = [
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    assert set(commands.choices) == set(FLAGS)
+    for name, sub in commands.choices.items():
+        declared = {s for a in sub._actions for s in a.option_strings}
+        assert declared == FLAGS[name] | {"-h", "--help"}, name
+
+
+def test_analytic_has_no_depth(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["analytic", "--p", "0.5", "--depth", "3"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "twice, once",
+    [
+        (["sample", "--p", "0.3", "--p", "0.9", "--depth", "3", "--depth", "5"],
+         ["sample", "--p", "0.9", "--depth", "5"]),
+        (["codebook", "--p", "0.3", "--p", "0.6", "--depth", "9", "--depth", "6",
+          "--seed", "123"],
+         ["codebook", "--p", "0.6", "--depth", "6", "--seed", "123"]),
+        (["ensemble", "--p", "0.2", "--p", "0.4", "--depth", "9", "--depth", "3",
+          "--samples", "20"],
+         ["ensemble", "--p", "0.4", "--depth", "3", "--samples", "20"]),
+        (["oracle", "--depth", "1", "--depth", "2"], ["oracle", "--depth", "2"]),
+    ],
+)
+def test_repeated_cell_flag_keeps_its_last_value(capsys, twice, once):
+    code, out_twice, _ = run_cli(capsys, *twice)
+    assert code == 0
+    assert run_cli(capsys, *once)[:2] == (0, out_twice)
+
+
+def test_cell_defaults(capsys):
+    # the oracle's default depth must not leak into the other subcommands
+    code, out, _ = run_cli(capsys, "sample")
+    assert code == 0
+    assert json.loads(out)["depth_bound"] == 8
+    code, out, _ = run_cli(capsys, "oracle")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["p"], doc["depth"]) == (0.5, 3)
+    code, out, _ = run_cli(capsys, "ensemble", "--samples", "5")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["p"], doc["depth"], doc["seed"]) == (0.5, 8, cli.DEFAULT_SEED)
 
 
 @pytest.mark.parametrize(
@@ -214,6 +280,37 @@ def test_ensemble_cell_json(capsys):
     assert doc["used"] == 50
     assert doc["mean_H_bits"] == 0.0
     assert doc["mean_leaf_counts"][0] == 1.0
+
+
+def test_ensemble_out_writes_the_stdout_json(capsys, tmp_path):
+    argv = ["ensemble", "--p", "0.6", "--depth", "6", "--samples", "40", "--seed", "3"]
+    code, stdout_doc, _ = run_cli(capsys, *argv)
+    assert code == 0
+    path = tmp_path / "cell.json"
+    code, out, _ = run_cli(capsys, *argv, "--out", str(path))
+    assert code == 0
+    assert out == ""
+    assert path.read_text(encoding="ascii") == stdout_doc
+
+
+@pytest.mark.parametrize("command", ["ensemble", "sweep"])
+def test_impossible_sample_count_exits_one(capsys, command):
+    # the first array of a 10^15-sample cell is 8 PB, so allocation fails at once
+    code, out, err = run_cli(
+        capsys, command, "--p", "0.5", "--depth", "4", "--samples", str(10**15)
+    )
+    assert code == 1
+    assert out == ""
+    assert f"perccode {command}: error:" in err and "Traceback" not in err
+
+
+def test_repeated_codeword_exits_one(capsys, tmp_path):
+    book = tmp_path / "book.txt"
+    book.write_text("0\n0\n1\n")
+    code, out, err = run_cli(capsys, "decode", "--book", str(book), "--bits", "001")
+    assert code == 1
+    assert out == ""
+    assert "prefix-free" in err
 
 
 def test_sweep_writes_csv(capsys, tmp_path):

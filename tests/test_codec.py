@@ -66,6 +66,16 @@ def test_is_prefix_free(seven_leaf_book):
     assert not is_prefix_free(CodeBook(("", "1")))
 
 
+def test_repeated_word_is_not_prefix_free():
+    # a repeat would map both lines to one parse, so the first is never decoded
+    book = parse_codebook("0\n0\n1\n")
+    assert kraft_sum(book) == 1.5
+    assert not is_prefix_free(book)
+    assert not is_prefix_free(CodeBook(("", "")))
+    with pytest.raises(DecodeError, match="prefix-free"):
+        decode(book, "001")
+
+
 def test_decode_examples(seven_leaf_book):
     # 00 | 0100 | 110 -> s1, s2, s6
     assert decode(seven_leaf_book, "000100110") == [0, 1, 5]

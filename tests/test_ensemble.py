@@ -15,7 +15,6 @@ from perccode.ensemble import (
     csv_text,
     run_ensemble,
     sweep,
-    write_csv,
 )
 from perccode.infomeasure import measures
 from perccode.percolate import cluster_stream, sample_tally
@@ -100,14 +99,10 @@ def test_sweep_rows_and_mean_length_growth():
     assert rows[2].mean_L < 5.0
 
 
-def test_csv_shape_and_empty_analytic_cells(tmp_path):
-    out = tmp_path / "grid.csv"
+def test_csv_shape_and_empty_analytic_cells():
     config = EnsembleConfig(p_values=[0.5, 0.75], depths=[4], samples=50, seed=2)
     rows = sweep(config, log=None)
-    with open(out, "w", encoding="ascii", newline="") as fh:
-        write_csv(rows, fh)
-    text = out.read_text(encoding="ascii")
-    lines = text.splitlines()
+    lines = csv_text(rows).splitlines()
     assert lines[0].startswith("# rng_version=")
     assert lines[1] == ",".join(CSV_COLUMNS)
     assert len(lines) == 2 + len(rows)

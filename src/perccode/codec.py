@@ -100,6 +100,7 @@ def encode(book: CodeBook, symbols: list[int]) -> str:
 def decode(book: CodeBook, bits: str) -> list[int]:
     """Greedy left-to-right parse of ``bits`` into entry indices.
 
+    Each position tries only the book's word lengths, shortest first.
     Consumes the whole input; raises :class:`DecodeError` when a position
     matches no codeword or the input ends mid-codeword.
     """
@@ -115,24 +116,23 @@ def decode(book: CodeBook, bits: str) -> list[int]:
     bad = set(bits) - {"0", "1"}
     if bad:
         raise DecodeError(f"bitstring contains non-bit characters: {sorted(bad)}")
-    max_len = max(len(w) for w in book.words)
+    lengths = sorted({len(w) for w in book.words})
     out = []
     pos = 0
     n = len(bits)
     while pos < n:
-        end = pos + 1
-        while True:
-            word = bits[pos:end]
-            hit = index.get(word)
+        # in a prefix-free book at most one length matches; a slice cut short
+        # by the end of the input has a length tried before it, or no word's
+        for length in lengths:
+            hit = index.get(bits[pos : pos + length])
             if hit is not None:
-                out.append(hit)
-                pos = end
                 break
-            if end >= n:
+        else:
+            if n - pos <= lengths[-1]:
                 raise DecodeError(f"input ends mid-codeword after position {pos}")
-            if end - pos >= max_len:
-                raise DecodeError(f"no codeword matches input at position {pos}")
-            end += 1
+            raise DecodeError(f"no codeword matches input at position {pos}")
+        out.append(hit)
+        pos += length
     return out
 
 

@@ -6,9 +6,11 @@ Two independent routes to exact answers:
   exact distribution of the generation-n node count (and, via a bivariate
   inner polynomial, the exact joint distribution of node and leaf counts);
 * exhaustive enumeration walks every open/closed assignment of a shallow
-  truncated tree's edges and pushes each configuration through the same
-  ``tally``/``infomeasure`` code paths the simulation uses, weighting by
-  p^(#open) q^(#closed).
+  truncated tree's edges, weighting each by p^(#open) q^(#closed).  Edges
+  below a closed edge are never looked at, so the 2^E assignments describe
+  far fewer clusters (676 at depth 3); each distinct cluster goes once
+  through the same ``tally``/``infomeasure`` code paths the simulation
+  uses, and its numbers are weighted once per assignment.
 
 Both are deliberately capped at small sizes; they exist to validate the
 closed forms and the sampler, not to scale.
@@ -178,12 +180,30 @@ def _cluster_from_mask(mask: int, depth: int) -> Cluster:
     return Cluster(depth_bound=depth, opens=opens)
 
 
+def _canonical_masks(depth: int) -> np.ndarray:
+    """Every edge mask 0 .. 2^E - 1 with the bits of the edges its root
+    cluster never reaches cleared: two masks describe the same cluster iff
+    their canonical masks are equal."""
+    masks = np.arange(1 << (2 ** (depth + 1) - 2), dtype=np.int64)
+    canonical = np.zeros_like(masks)
+    # live[k]: node k is in the root cluster; heap order puts parents first
+    live = [np.ones(len(masks), dtype=np.int64)]
+    for k in range(2**depth - 1):
+        for e in (2 * k, 2 * k + 1):
+            reached = live[k] & (masks >> e)
+            canonical |= reached << e
+            live.append(reached)
+    return canonical
+
+
 def exact_enumeration(params: ModelParams, depth: int) -> ExactStats:
     """Exact expectations over all 2^E edge configurations (E = 2^(depth+1)-2).
 
     Each configuration is weighted by p^(#open) q^(#closed) over *all*
-    edges of the truncated tree and pushed through the production
-    ``tally``/``infomeasure`` code paths.
+    edges of the truncated tree.  Each distinct cluster (1 / 4 / 25 / 676
+    at depth 0 / 1 / 2 / 3) goes once through the production
+    ``tally``/``infomeasure`` code paths and stands for every configuration
+    yielding it; all sums still run over the 2^E configurations in order.
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
@@ -197,16 +217,22 @@ def exact_enumeration(params: ModelParams, depth: int) -> ExactStats:
     n_configs = 1 << n_edges
     opened = [mask.bit_count() for mask in range(n_configs)]
     weights = np.array([pow_p[k] * pow_q[n_edges - k] for k in opened])
-    tallies = [tally(_cluster_from_mask(mask, depth)) for mask in range(n_configs)]
+    distinct, inverse = np.unique(_canonical_masks(depth), return_inverse=True)
+    tallies = [tally(_cluster_from_mask(mask, depth)) for mask in distinct.tolist()]
     measured = [measures(t, p) for t in tallies]
-    nodes = np.array([t.node_counts for t in tallies], dtype=float)
-    leaves = np.array([t.leaf_counts for t in tallies], dtype=float)
-    lams = np.array([m.normalization for m in measured])
+
+    def gathered(values: list) -> np.ndarray:
+        # one row per distinct cluster, spread back to one per configuration
+        return np.array(values, dtype=float)[inverse]
+
+    nodes = gathered([t.node_counts for t in tallies])
+    leaves = gathered([t.leaf_counts for t in tallies])
+    lams = gathered([m.normalization for m in measured])
     # entropy and length are None together, where Lambda = 0; NaN marks them
-    entropies = np.array(
+    entropies = gathered(
         [math.nan if m.entropy_bits is None else m.entropy_bits for m in measured]
     )
-    lengths = np.array([math.nan if m.avg_length is None else m.avg_length for m in measured])
+    lengths = gathered([math.nan if m.avg_length is None else m.avg_length for m in measured])
     # bincount adds the weights in mask order, one configuration at a time
     node_hist = [
         np.bincount(nodes[:, g].astype(np.intp), weights=weights, minlength=2**g + 1)

@@ -27,6 +27,7 @@ from .analytic import ModelParams
 
 __all__ = [
     "RNG_VERSION",
+    "MAX_GENERATION_UNIFORMS",
     "Cluster",
     "GenerationTally",
     "cluster_stream",
@@ -44,6 +45,11 @@ __all__ = [
 # Bump when the stream scheme or consumption order changes; emitted in all
 # CSV/metadata output so old runs stay attributable.
 RNG_VERSION = "philox-key64x2/v1"
+
+# Most uniforms sample_cluster draws for one generation, two per node: the
+# draw alone is 128 MiB, and a supercritical frontier (p = 0.9 grows about
+# 1.8x per generation) would otherwise grow until memory runs out.
+MAX_GENERATION_UNIFORMS = 1 << 24
 
 
 # compared by identity: a generated == on lists of arrays would raise
@@ -132,13 +138,21 @@ class SampleStreams:
 def sample_cluster(params: ModelParams, depth_bound: int, stream) -> Cluster:
     """Grow one cluster from a uniform stream (see module docstring for the
     exact consumption order).  ``stream`` needs only a ``random(n)`` method
-    returning n floats in [0, 1)."""
+    returning n floats in [0, 1).
+
+    Raises ``ValueError`` before drawing a generation that would need more
+    than ``MAX_GENERATION_UNIFORMS`` uniforms."""
     if depth_bound < 0:
         raise ValueError(f"depth_bound must be >= 0, got {depth_bound}")
     p = params.p
     opens = []
     count = 1
-    for _ in range(depth_bound):
+    for gen in range(depth_bound):
+        if 2 * count > MAX_GENERATION_UNIFORMS:
+            raise ValueError(
+                f"generation {gen} of the cluster needs {2 * count} uniforms, over the cap "
+                f"MAX_GENERATION_UNIFORMS = {MAX_GENERATION_UNIFORMS} per generation"
+            )
         flags = stream.random(2 * count) < p
         opens.append(flags)
         count = int(np.count_nonzero(flags))

@@ -1,5 +1,6 @@
 import argparse
 import json
+import time
 
 import numpy as np
 import pytest
@@ -244,6 +245,34 @@ def test_sample_too_deep_for_json_exits_one(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert "recursion limit" in err
+
+
+@pytest.mark.parametrize("command", ["sample", "codebook", "ensemble"])
+def test_supercritical_frontier_exits_one(capsys, monkeypatch, command):
+    # the p = 0.9 frontier grows about 1.8x per generation and would pass
+    # 10^9 nodes by generation 36; it is refused at the per-generation cap
+    # without asking the stream for the oversized draw
+    requests = []
+
+    class Recording:
+        def __init__(self, stream):
+            self.stream = stream
+
+        def random(self, n=None, out=None):
+            requests.append(n if out is None else out.size)
+            return self.stream.random(n, out=out)
+
+    keyed, at = percolate.cluster_stream, percolate.SampleStreams.at
+    monkeypatch.setattr(percolate, "cluster_stream", lambda *key: Recording(keyed(*key)))
+    monkeypatch.setattr(percolate.SampleStreams, "at", lambda self, i: Recording(at(self, i)))
+    started = time.perf_counter()
+    argv = ["--p", "0.9", "--depth", "40"] + (["--samples", "1"] if command == "ensemble" else [])
+    code, out, err = run_cli(capsys, command, *argv)
+    assert time.perf_counter() - started < 10.0
+    assert code == 1
+    assert out == ""
+    assert "MAX_GENERATION_UNIFORMS = 16777216" in err
+    assert requests and max(requests) <= percolate.MAX_GENERATION_UNIFORMS
 
 
 def test_decode_against_book_file(capsys, seven_leaf_paths):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -86,6 +87,70 @@ def test_decode_examples(seven_leaf_book):
         decode(seven_leaf_book, "1111")  # no codeword starts 1111
     with pytest.raises(DecodeError):
         decode(seven_leaf_book, "00x")
+
+
+def reference_decode(book, bits):
+    """``decode`` as it was before the length-set parse: grow the slice at
+    each position one bit at a time, up to the longest word."""
+    if not bits:
+        return []
+    if not book.words:
+        raise DecodeError("cannot decode with an empty codebook")
+    if not is_prefix_free(book):
+        raise DecodeError("codebook is not prefix-free; greedy parsing is ambiguous")
+    index = {w: i for i, w in enumerate(book.words)}
+    if "" in index:
+        raise DecodeError("codebook contains the empty codeword; non-empty input cannot parse")
+    bad = set(bits) - {"0", "1"}
+    if bad:
+        raise DecodeError(f"bitstring contains non-bit characters: {sorted(bad)}")
+    max_len = max(len(w) for w in book.words)
+    out = []
+    pos = 0
+    n = len(bits)
+    while pos < n:
+        end = pos + 1
+        while True:
+            word = bits[pos:end]
+            hit = index.get(word)
+            if hit is not None:
+                out.append(hit)
+                pos = end
+                break
+            if end >= n:
+                raise DecodeError(f"input ends mid-codeword after position {pos}")
+            if end - pos >= max_len:
+                raise DecodeError(f"no codeword matches input at position {pos}")
+            end += 1
+    return out
+
+
+def decode_outcome(decoder, book, bits):
+    try:
+        return decoder(book, bits)
+    except DecodeError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("p, depth", [(0.6, 12), (0.7, 14)])
+def test_decode_matches_the_bit_by_bit_reference(p, depth):
+    rng = np.random.default_rng(depth)
+    books = 0
+    for seed in range(40):
+        book = extract_codebook(sample_cluster(ModelParams(p), depth, cluster_stream(seed, 0)))
+        if len(book) < 2:
+            continue  # leafless and root-only books carry no messages
+        books += 1
+        symbols = rng.integers(len(book), size=12).tolist()
+        bits = encode(book, symbols)
+        last = len(bits) - len(book.words[symbols[-1]])
+        messages = [bits] + [bits[:cut] for cut in range(last, len(bits))]
+        messages += [bits[:i] + "10"[int(bits[i])] + bits[i + 1 :] for i in range(len(bits))]
+        for message in messages:
+            want = decode_outcome(reference_decode, book, message)
+            assert decode_outcome(decode, book, message) == want
+        assert decode(book, bits) == symbols
+    assert books >= 10
 
 
 def test_decode_guards():

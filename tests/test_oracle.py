@@ -1,16 +1,88 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from perccode import analytic
 from perccode.analytic import ModelParams
+from perccode.infomeasure import measures
 from perccode.oracle import (
+    ExactStats,
     SizeError,
+    _canonical_masks,
+    _cluster_from_mask,
     exact_enumeration,
     joint_leaf_distribution,
     node_distribution,
 )
+from perccode.percolate import tally
+
+
+def reference_enumeration(params: ModelParams, depth: int) -> ExactStats:
+    """One tally and one ``measures`` per edge mask, all 2^E of them: the
+    enumeration before distinct clusters were tallied once."""
+    p, q = params.p, params.q
+    n_edges = 2 ** (depth + 1) - 2
+    pow_p = [p**k for k in range(n_edges + 1)]
+    pow_q = [q**k for k in range(n_edges + 1)]
+
+    n_configs = 1 << n_edges
+    opened = [mask.bit_count() for mask in range(n_configs)]
+    weights = np.array([pow_p[k] * pow_q[n_edges - k] for k in opened])
+    tallies = [tally(_cluster_from_mask(mask, depth)) for mask in range(n_configs)]
+    measured = [measures(t, p) for t in tallies]
+    nodes = np.array([t.node_counts for t in tallies], dtype=float)
+    leaves = np.array([t.leaf_counts for t in tallies], dtype=float)
+    lams = np.array([m.normalization for m in measured])
+    entropies = np.array(
+        [math.nan if m.entropy_bits is None else m.entropy_bits for m in measured]
+    )
+    lengths = np.array([math.nan if m.avg_length is None else m.avg_length for m in measured])
+    node_hist = [
+        np.bincount(nodes[:, g].astype(np.intp), weights=weights, minlength=2**g + 1)
+        for g in range(depth + 1)
+    ]
+
+    def wmean(values: np.ndarray) -> float:
+        return math.fsum((weights * values).tolist())
+
+    node_mean = [wmean(nodes[:, g]) for g in range(depth + 1)]
+    node_var = [
+        wmean(nodes[:, g] ** 2) - node_mean[g] ** 2 for g in range(depth + 1)
+    ]
+    leaf_mean = [wmean(leaves[:, g]) for g in range(depth)]
+    leaf_var = [wmean(leaves[:, g] ** 2) - leaf_mean[g] ** 2 for g in range(depth)]
+
+    with_leaves = ~np.isnan(entropies)
+    mass_with_leaves = math.fsum(weights[with_leaves].tolist())
+    leafless_probability = 1.0 - mass_with_leaves
+    if mass_with_leaves > 0.0:
+        mean_entropy = (
+            math.fsum((weights[with_leaves] * entropies[with_leaves]).tolist())
+            / mass_with_leaves
+        )
+        mean_length = (
+            math.fsum((weights[with_leaves] * lengths[with_leaves]).tolist())
+            / mass_with_leaves
+        )
+    else:
+        mean_entropy = 0.0
+        mean_length = 0.0
+
+    return ExactStats(
+        p=p,
+        depth=depth,
+        node_mean=node_mean,
+        node_var=node_var,
+        leaf_mean=leaf_mean,
+        leaf_var=leaf_var,
+        node_distributions=node_hist,
+        mean_normalization=wmean(lams),
+        mean_entropy_bits=mean_entropy,
+        mean_avg_length=mean_length,
+        leafless_probability=leafless_probability,
+    )
 
 
 def test_node_distribution_examples():
@@ -163,3 +235,39 @@ def test_enumeration_caps():
         exact_enumeration(ModelParams(0.5), 4)
     with pytest.raises(ValueError):
         exact_enumeration(ModelParams(0.5), -1)
+
+
+@pytest.mark.parametrize(
+    "p, depth",
+    [(p, d) for d in range(3) for p in (0.0, 0.3, 0.5, 0.6, 1.0)] + [(0.3, 3), (0.6, 3)],
+)
+def test_enumeration_is_bit_identical_to_the_per_mask_reference(p, depth):
+    stats = exact_enumeration(ModelParams(p), depth)
+    reference = reference_enumeration(ModelParams(p), depth)
+    for field in fields(ExactStats):
+        got, want = getattr(stats, field.name), getattr(reference, field.name)
+        if field.name == "node_distributions":
+            assert len(got) == len(want)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        else:
+            assert got == want, field.name
+
+
+def test_canonical_masks_count_the_distinct_clusters():
+    # a(d) = (1 + a(d - 1))^2: each child subtree of the root is absent or
+    # one of the a(d - 1) clusters one level shallower
+    counts = [len(np.unique(_canonical_masks(d))) for d in range(4)]
+    assert counts == [1, 4, 25, 676]
+
+
+@pytest.mark.parametrize("depth", range(4))
+def test_canonical_mask_is_the_same_cluster(depth):
+    canonical = _canonical_masks(depth)
+    masks = range(len(canonical))
+    if depth == 3:
+        masks = np.random.default_rng(8).choice(len(canonical), 2000, replace=False).tolist()
+    for mask in masks:
+        got = _cluster_from_mask(mask, depth).opens
+        want = _cluster_from_mask(int(canonical[mask]), depth).opens
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))

@@ -80,6 +80,20 @@ def test_fixture_stream_consumption_is_per_live_node():
     assert stream.cursor == 4
 
 
+def test_frontier_cap_refuses_before_drawing(monkeypatch):
+    # with the cap at 64 uniforms, generation 5 of a full tree (32 nodes)
+    # still draws, and generation 6 (64 nodes) is refused; the stream holds
+    # exactly the 2 + 4 + ... + 64 values drawn below the cap, so a draw
+    # past it would exhaust the stream instead of raising ValueError
+    monkeypatch.setattr(percolate, "MAX_GENERATION_UNIFORMS", 64)
+    full = sample_cluster(ModelParams(1.0), 6, FixtureStream([0.0] * 126))
+    assert tally(full).node_counts == [1, 2, 4, 8, 16, 32, 64]
+    stream = FixtureStream([0.0] * 126)
+    with pytest.raises(ValueError, match="MAX_GENERATION_UNIFORMS = 64"):
+        sample_cluster(ModelParams(1.0), 7, stream)
+    assert stream.cursor == 126
+
+
 def test_tally_root_only():
     c = sample_cluster(ModelParams(0.0), 4, cluster_stream(5, 0))
     t = tally(c)

@@ -113,6 +113,8 @@ def _cmd_codebook(args: argparse.Namespace) -> int:
     else:
         cluster = _sample_cluster_from_args(args)
     book = codec.extract_codebook(cluster)
+    if not book.words:
+        raise ValueError("the cluster has no leaf above its depth bound, so its code book is empty")
     weights = codec.bernoulli_weights(book, args.p) if args.weights else None
     _emit(codec.format_codebook(book, weights), args.out)
     return 0

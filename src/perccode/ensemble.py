@@ -11,7 +11,8 @@ from those two averages and counted in ``skipped_leafless``.  Standard
 errors are sample standard deviation / sqrt(count used).
 
 A cell is tallied in one call of :func:`~perccode.percolate.sample_tallies`
-and its entropy and length found once per distinct leaf-count row; every
+and its leaf-count rows measured by
+:func:`~perccode.infomeasure.row_measures`, once per distinct row; every
 number is the one the per-sample path gives.
 
 Determinism: every per-sample result lands in a slot of a preallocated
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import analytic
 from .analytic import DomainError, ModelParams
-from .infomeasure import _leaf_measures
+from .infomeasure import row_measures
 from .percolate import RNG_VERSION, sample_tallies
 
 __all__ = [
@@ -125,11 +126,6 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
     return mean, float(values.std(ddof=1) / math.sqrt(n))
 
 
-# Leaf-count rows turned into keys and lists at a time, which bounds the
-# memory those Python objects take in a large cell.
-_KEYED_ROWS = 1 << 12
-
-
 def run_ensemble(params: ModelParams, depth: int, samples: int, seed: int) -> EnsembleStats:
     """Estimate one (p, depth) cell from ``samples`` independent clusters;
     ``seed`` and every sample index must lie in [0, 2**64)."""
@@ -138,23 +134,7 @@ def run_ensemble(params: ModelParams, depth: int, samples: int, seed: int) -> En
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     n_final, leaf_counts = sample_tallies(params, depth, seed, samples)
-    # Entropy and length depend on the leaf counts alone, so they are found
-    # once per distinct row, keyed by the row's bytes.  They stay scalar:
-    # NumPy's log2 and power differ from the math module's in the last bit
-    # for a few inputs in a thousand.
-    per_sample = np.empty((samples, 2))
-    powers = [params.p**n for n in range(depth)]
-    row_bytes = np.dtype((np.void, leaf_counts.itemsize * depth))
-    measured = {}
-    for lo in range(0, samples, _KEYED_ROWS):
-        rows = leaf_counts[lo : lo + _KEYED_ROWS]
-        keys = rows.view(row_bytes).ravel().tolist()
-        for key, row in zip(keys, rows.tolist()):
-            if key not in measured:
-                measured[key] = _leaf_measures(row, powers)[1:]
-        # a leafless row's (None, None) is stored as NaN
-        per_sample[lo : lo + len(keys)] = [measured[key] for key in keys]
-    entropy, length = per_sample.T
+    _, entropy, length = row_measures(leaf_counts, params.p).T
     alive = n_final > 0
 
     usable = ~np.isnan(entropy)
@@ -163,10 +143,12 @@ def run_ensemble(params: ModelParams, depth: int, samples: int, seed: int) -> En
     mean_h, se_h = _mean_se(entropy[usable])
     mean_l, se_l = _mean_se(length[usable])
     leaf_mean = [float(x) for x in leaf_counts.mean(axis=0)]
-    leaf_se = [
-        float(leaf_counts[:, g].std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-        for g in range(depth)
-    ]
+    leaf_se = [0.0] * depth
+    if samples > 1:
+        # each generation as one contiguous row, which NumPy sums in the
+        # pairwise order it gives that generation's column alone
+        leaf_sd = np.ascontiguousarray(leaf_counts.T).std(axis=1, ddof=1)
+        leaf_se = (leaf_sd / math.sqrt(samples)).tolist()
 
     try:
         a_h = analytic.expected_entropy(params)
@@ -197,32 +179,15 @@ def run_ensemble(params: ModelParams, depth: int, samples: int, seed: int) -> En
     )
 
 
-def _cell(value: float | None) -> str:
-    return "" if value is None else repr(value)
+def _cell(value: float | int | None) -> str:
+    # str of a Python float is its repr, the shortest form that reads back
+    return "" if value is None else str(value)
 
 
 def csv_text(rows: list[EnsembleStats]) -> str:
     """The fixed-column CSV (leading comment row carries the RNG tag)."""
     lines = [f"# rng_version={RNG_VERSION}", ",".join(CSV_COLUMNS)]
-    for r in rows:
-        fields = [
-            repr(r.p),
-            str(r.depth),
-            str(r.samples),
-            str(r.used),
-            str(r.skipped_leafless),
-            repr(r.extinct_frac),
-            repr(r.mean_N_final),
-            repr(r.se_N_final),
-            repr(r.mean_H_bits),
-            repr(r.se_H_bits),
-            repr(r.mean_L),
-            repr(r.se_L),
-            _cell(r.analytic_H_bits),
-            _cell(r.analytic_L),
-            _cell(r.analytic_lambda),
-        ]
-        lines.append(",".join(fields))
+    lines += [",".join(_cell(getattr(r, c)) for c in CSV_COLUMNS) for r in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -8,9 +8,10 @@ Two independent routes to exact answers:
 * exhaustive enumeration walks every open/closed assignment of a shallow
   truncated tree's edges, weighting each by p^(#open) q^(#closed).  Edges
   below a closed edge are never looked at, so the 2^E assignments describe
-  far fewer clusters (676 at depth 3); each distinct cluster goes once
-  through the same ``tally``/``infomeasure`` code paths the simulation
-  uses, and its numbers are weighted once per assignment.
+  far fewer clusters (676 at depth 3); each distinct cluster is tallied
+  once by the same ``tally`` the simulation uses, its leaf-count row is
+  measured by the ensemble's own ``infomeasure.row_measures``, and its
+  numbers are weighted once per assignment.
 
 Both are deliberately capped at small sizes; they exist to validate the
 closed forms and the sampler, not to scale.
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import ModelParams
-from .infomeasure import measures
+from .infomeasure import row_measures
 from .percolate import Cluster, tally
 
 __all__ = [
@@ -201,9 +202,11 @@ def exact_enumeration(params: ModelParams, depth: int) -> ExactStats:
 
     Each configuration is weighted by p^(#open) q^(#closed) over *all*
     edges of the truncated tree.  Each distinct cluster (1 / 4 / 25 / 676
-    at depth 0 / 1 / 2 / 3) goes once through the production
-    ``tally``/``infomeasure`` code paths and stands for every configuration
-    yielding it; all sums still run over the 2^E configurations in order.
+    at depth 0 / 1 / 2 / 3) goes once through the production ``tally`` and
+    stands for every configuration yielding it; the clusters' leaf-count
+    rows go through :func:`~perccode.infomeasure.row_measures`, which
+    measures each distinct row once (10 at depth 3).  All sums still run
+    over the 2^E configurations in order.
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
@@ -211,28 +214,21 @@ def exact_enumeration(params: ModelParams, depth: int) -> ExactStats:
         raise SizeError(f"depth {depth} exceeds cap {MAX_ENUM_DEPTH}")
     p, q = params.p, params.q
     n_edges = 2 ** (depth + 1) - 2
-    pow_p = [p**k for k in range(n_edges + 1)]
-    pow_q = [q**k for k in range(n_edges + 1)]
 
-    n_configs = 1 << n_edges
-    opened = [mask.bit_count() for mask in range(n_configs)]
-    weights = np.array([pow_p[k] * pow_q[n_edges - k] for k in opened])
+    masks = np.arange(1 << n_edges, dtype=np.int64)
+    opened = np.zeros_like(masks)
+    for e in range(n_edges):
+        opened += (masks >> e) & 1
+    # a configuration's weight depends only on how many edges it opens
+    weights = np.array([p**k * q ** (n_edges - k) for k in range(n_edges + 1)])[opened]
     distinct, inverse = np.unique(_canonical_masks(depth), return_inverse=True)
+    # one row per distinct cluster, spread back to one per configuration
     tallies = [tally(_cluster_from_mask(mask, depth)) for mask in distinct.tolist()]
-    measured = [measures(t, p) for t in tallies]
-
-    def gathered(values: list) -> np.ndarray:
-        # one row per distinct cluster, spread back to one per configuration
-        return np.array(values, dtype=float)[inverse]
-
-    nodes = gathered([t.node_counts for t in tallies])
-    leaves = gathered([t.leaf_counts for t in tallies])
-    lams = gathered([m.normalization for m in measured])
-    # entropy and length are None together, where Lambda = 0; NaN marks them
-    entropies = gathered(
-        [math.nan if m.entropy_bits is None else m.entropy_bits for m in measured]
-    )
-    lengths = gathered([math.nan if m.avg_length is None else m.avg_length for m in measured])
+    nodes = np.array([t.node_counts for t in tallies], dtype=float)[inverse]
+    leaf_rows = np.array([t.leaf_counts for t in tallies], dtype=np.int64)
+    leaves = leaf_rows.astype(float)[inverse]
+    # entropy and length are NaN together, where Lambda = 0
+    lams, entropies, lengths = row_measures(leaf_rows, p)[inverse].T
     # bincount adds the weights in mask order, one configuration at a time
     node_hist = [
         np.bincount(nodes[:, g].astype(np.intp), weights=weights, minlength=2**g + 1)
@@ -249,21 +245,12 @@ def exact_enumeration(params: ModelParams, depth: int) -> ExactStats:
     leaf_mean = [wmean(leaves[:, g]) for g in range(depth)]
     leaf_var = [wmean(leaves[:, g] ** 2) - leaf_mean[g] ** 2 for g in range(depth)]
 
-    with_leaves = ~np.isnan(entropies)
-    mass_with_leaves = math.fsum(weights[with_leaves].tolist())
-    leafless_probability = 1.0 - mass_with_leaves
+    # a leafless configuration adds an exact 0 to the sums over those with leaves
+    mass_with_leaves = wmean(~np.isnan(entropies))
+    mean_entropy = mean_length = 0.0
     if mass_with_leaves > 0.0:
-        mean_entropy = (
-            math.fsum((weights[with_leaves] * entropies[with_leaves]).tolist())
-            / mass_with_leaves
-        )
-        mean_length = (
-            math.fsum((weights[with_leaves] * lengths[with_leaves]).tolist())
-            / mass_with_leaves
-        )
-    else:
-        mean_entropy = 0.0
-        mean_length = 0.0
+        mean_entropy = wmean(np.nan_to_num(entropies)) / mass_with_leaves
+        mean_length = wmean(np.nan_to_num(lengths)) / mass_with_leaves
 
     return ExactStats(
         p=p,
@@ -276,5 +263,5 @@ def exact_enumeration(params: ModelParams, depth: int) -> ExactStats:
         mean_normalization=wmean(lams),
         mean_entropy_bits=mean_entropy,
         mean_avg_length=mean_length,
-        leafless_probability=leafless_probability,
+        leafless_probability=1.0 - mass_with_leaves,
     )

@@ -212,6 +212,27 @@ def test_root_only_codebook_exits_one(capsys, weights):
     assert "root-only" in err
 
 
+@pytest.mark.parametrize("weights", [[], ["--weights"]])
+@pytest.mark.parametrize("cell", [["--p", "1", "--depth", "2"], ["--depth", "0"]])
+def test_leafless_codebook_exits_one(capsys, tmp_path, cell, weights):
+    # every leaf of p=1 sits at the depth bound; a depth-0 root is at it
+    out_path = tmp_path / "book.txt"
+    code, out, err = run_cli(capsys, "codebook", *cell, *weights, "--out", str(out_path))
+    assert code == 1
+    assert out == ""
+    assert "no leaf above its depth bound" in err
+    assert not out_path.exists()
+
+
+def test_leafless_codebook_from_file_exits_one(capsys, tmp_path):
+    path = tmp_path / "cluster.json"
+    assert run_cli(capsys, "sample", "--p", "1", "--depth", "2", "--out", str(path))[0] == 0
+    code, out, err = run_cli(capsys, "codebook", "--cluster", str(path), "--weights")
+    assert code == 1
+    assert out == ""
+    assert "no leaf above its depth bound" in err
+
+
 def test_codebook_from_too_deep_file_exits_one(capsys, tmp_path):
     depth = 1500
     text = (

@@ -20,3 +20,17 @@ def test_every_export_resolves():
     ]
     assert imported
     assert [name for name in imported if not hasattr(perccode, name)] == []
+
+
+def test_no_module_imports_a_private_name_of_a_sibling():
+    # a name with a leading underscore belongs to its own module
+    crossings = [
+        f"{path.name}: from {'.' * node.level}{node.module or ''} import {alias.name}"
+        for path in sorted(Path(perccode.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "perccode")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert crossings == []

@@ -44,7 +44,6 @@ CASES = {
         "codebook", "--p", "0.7", "--depth", "9", "--seed", "11", "--index", "3",
         "--weights",
     ],
-    "codebook-p1-d2.txt": ["codebook", "--p", "1", "--depth", "2"],
     "sweep.csv": [
         "sweep", "--p", "0.5", "--p", "0.75", "--depth", "4", "--depth", "7",
         "--samples", "200", "--seed", "2",

@@ -1,11 +1,18 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from perccode.analytic import ModelParams
-from perccode.infomeasure import measures
-from perccode.percolate import GenerationTally, cluster_stream, sample_cluster, tally
+from perccode.infomeasure import _KEYED_ROWS, measures, row_measures
+from perccode.percolate import (
+    GenerationTally,
+    cluster_stream,
+    sample_cluster,
+    sample_tallies,
+    tally,
+)
 
 from conftest import cluster_from_codewords
 
@@ -127,3 +134,45 @@ def test_rejects_bad_p(seven_leaf_tally):
         measures(seven_leaf_tally, -0.2)
     with pytest.raises(ValueError):
         measures(seven_leaf_tally, 1.0001)
+
+
+def by_measures(leaves: np.ndarray, p: float) -> np.ndarray:
+    """``measures`` of each row on its own, None written as NaN."""
+    return np.array(
+        [
+            [m.normalization, m.entropy_bits, m.avg_length]
+            for m in (measures(make_tally(row), p) for row in leaves.tolist())
+        ],
+        dtype=float,
+    ).reshape(len(leaves), 3)
+
+
+@pytest.mark.parametrize("depth", [1, 16])
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 0.7, 1.0])
+def test_row_measures_equal_measures_row_by_row(p, depth):
+    _, leaves = sample_tallies(ModelParams(p), depth, 5, 400)
+    got = row_measures(leaves, p)
+    assert got.shape == (400, 3)
+    # ==, with NaN exactly where measures gives None
+    assert np.array_equal(got, by_measures(leaves, p), equal_nan=True)
+
+
+def test_row_measures_of_depth_zero_rows():
+    # no generation lies above a depth-0 bound, so no row has a leaf
+    got = row_measures(np.zeros((3, 0), dtype=np.int64), 0.5)
+    assert np.array_equal(got, [[0.0, math.nan, math.nan]] * 3, equal_nan=True)
+
+
+def test_row_measures_across_key_chunks():
+    # rows repeat on both sides of every chunk boundary, in shuffled order
+    _, sampled = sample_tallies(ModelParams(0.6), 10, 9, 300)
+    order = np.random.default_rng(4).integers(0, len(sampled), 2 * _KEYED_ROWS + 7)
+    leaves = sampled[order]
+    got = row_measures(leaves, 0.6)
+    assert got.shape == (len(leaves), 3)
+    assert np.array_equal(got, by_measures(leaves, 0.6), equal_nan=True)
+
+
+def test_row_measures_rejects_bad_p():
+    with pytest.raises(ValueError):
+        row_measures(np.ones((2, 3), dtype=np.int64), 1.5)

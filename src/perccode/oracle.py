@@ -19,6 +19,7 @@ closed forms and the sampler, not to scale.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -197,6 +198,25 @@ def _canonical_masks(depth: int) -> np.ndarray:
     return canonical
 
 
+@functools.cache
+def _enumerated_clusters(depth: int) -> tuple[np.ndarray, ...]:
+    """What enumerations at ``depth`` share whatever p is, read-only: per
+    configuration its open-edge count and the index of its distinct cluster,
+    per distinct cluster its node-count (float) and leaf-count rows."""
+    n_edges = 2 ** (depth + 1) - 2
+    masks = np.arange(1 << n_edges, dtype=np.int64)
+    opened = np.zeros_like(masks)
+    for e in range(n_edges):
+        opened += (masks >> e) & 1
+    distinct, inverse = np.unique(_canonical_masks(depth), return_inverse=True)
+    tallies = [tally(_cluster_from_mask(mask, depth)) for mask in distinct.tolist()]
+    node_rows = np.array([t.node_counts for t in tallies], dtype=float)
+    leaf_rows = np.array([t.leaf_counts for t in tallies], dtype=np.int64)
+    for array in (opened, inverse, node_rows, leaf_rows):
+        array.flags.writeable = False
+    return opened, inverse, node_rows, leaf_rows
+
+
 def exact_enumeration(params: ModelParams, depth: int) -> ExactStats:
     """Exact expectations over all 2^E edge configurations (E = 2^(depth+1)-2).
 
@@ -205,8 +225,9 @@ def exact_enumeration(params: ModelParams, depth: int) -> ExactStats:
     at depth 0 / 1 / 2 / 3) goes once through the production ``tally`` and
     stands for every configuration yielding it; the clusters' leaf-count
     rows go through :func:`~perccode.infomeasure.row_measures`, which
-    measures each distinct row once (10 at depth 3).  All sums still run
-    over the 2^E configurations in order.
+    measures each distinct row once (10 at depth 3).  The clusters and their
+    tallies do not depend on p, so they are worked out once per depth and
+    kept.  All sums still run over the 2^E configurations in order.
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
@@ -214,18 +235,11 @@ def exact_enumeration(params: ModelParams, depth: int) -> ExactStats:
         raise SizeError(f"depth {depth} exceeds cap {MAX_ENUM_DEPTH}")
     p, q = params.p, params.q
     n_edges = 2 ** (depth + 1) - 2
-
-    masks = np.arange(1 << n_edges, dtype=np.int64)
-    opened = np.zeros_like(masks)
-    for e in range(n_edges):
-        opened += (masks >> e) & 1
+    opened, inverse, node_rows, leaf_rows = _enumerated_clusters(depth)
     # a configuration's weight depends only on how many edges it opens
     weights = np.array([p**k * q ** (n_edges - k) for k in range(n_edges + 1)])[opened]
-    distinct, inverse = np.unique(_canonical_masks(depth), return_inverse=True)
     # one row per distinct cluster, spread back to one per configuration
-    tallies = [tally(_cluster_from_mask(mask, depth)) for mask in distinct.tolist()]
-    nodes = np.array([t.node_counts for t in tallies], dtype=float)[inverse]
-    leaf_rows = np.array([t.leaf_counts for t in tallies], dtype=np.int64)
+    nodes = node_rows[inverse]
     leaves = leaf_rows.astype(float)[inverse]
     # entropy and length are NaN together, where Lambda = 0
     lams, entropies, lengths = row_measures(leaf_rows, p)[inverse].T

@@ -89,10 +89,20 @@ def _check_key(seed: int, index: int) -> None:
         raise ValueError(f"seed and index must lie in [0, 2**64), got {seed}, {index}")
 
 
+class _Key(np.random.bit_generator.ISeedSequence):
+    # Philox reads its key from generate_state(2, uint64): the state of
+    # Philox(key=...) without the SeedSequence it first draws from OS entropy
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.key
+
+
 def _philox_stream(seed: int, index: int) -> np.random.Generator:
     # an unsigned array keeps every 64-bit value exact; NumPy converts a list
     # holding a Python int >= 2**63 through float64
-    return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+    return np.random.Generator(np.random.Philox(_Key(np.array([seed, index], dtype=np.uint64))))
 
 
 def cluster_stream(seed: int, index: int) -> np.random.Generator:
@@ -106,10 +116,10 @@ class SampleStreams:
     """The streams of samples ``0 .. count - 1`` of master ``seed``, served by
     one reused generator.
 
-    ``at(index)`` resets that generator in place to the start of the stream
-    ``cluster_stream(seed, index)`` returns, and returns it: the same
-    numbers at under a tenth of the cost of a new generator.  A stream is
-    good until the next ``at``, so give each thread its own object.
+    ``at(index, position)`` resets that generator in place to the stream
+    ``cluster_stream(seed, index)`` returns, past its first ``position``
+    uniforms, and returns it, for a fraction of the cost of a new generator.
+    A stream is good until the next ``at``, so give each thread its own.
     """
 
     def __init__(self, seed: int, count: int):
@@ -117,21 +127,27 @@ class SampleStreams:
         self.count = count
         self._generator = _philox_stream(seed, 0)
         self._key = [seed, 0]
-        # counter 0 and an empty buffer: the state of a new generator
+        self._counter = [0, 0, 0, 0]
+        # with counter 0 and an empty buffer, the state of a new generator
         self._state = {
             "bit_generator": "Philox",
-            "state": {"counter": [0, 0, 0, 0], "key": self._key},
+            "state": {"counter": self._counter, "key": self._key},
             "buffer": [0, 0, 0, 0],
             "buffer_pos": 4,
             "has_uint32": 0,
             "uinteger": 0,
         }
 
-    def at(self, index: int) -> np.random.Generator:
+    def at(self, index: int, position: int = 0) -> np.random.Generator:
         if not 0 <= index < self.count:
             raise IndexError(f"sample index {index} outside [0, {self.count})")
         self._key[1] = index
+        # Philox makes 4 uniforms per counter step, stepping the counter
+        # first: after 4c of them the counter reads c and the buffer is spent
+        self._counter[0] = position // 4
         self._generator.bit_generator.state = self._state
+        if position % 4:
+            self._generator.random(position % 4)
         return self._generator
 
 
@@ -144,10 +160,15 @@ def sample_cluster(params: ModelParams, depth_bound: int, stream) -> Cluster:
     than ``MAX_GENERATION_UNIFORMS`` uniforms."""
     if depth_bound < 0:
         raise ValueError(f"depth_bound must be >= 0, got {depth_bound}")
-    p = params.p
+    return Cluster(depth_bound=depth_bound, opens=_grow(params.p, depth_bound, stream))
+
+
+def _grow(p: float, depth: int, stream, gen: int = 0, count: int = 1) -> list[np.ndarray]:
+    """The flags of generations ``gen`` .. (fewer if the cluster dies) of a
+    cluster with ``count`` nodes in generation ``gen``, whose first uniform
+    ``stream`` draws next."""
     opens = []
-    count = 1
-    for gen in range(depth_bound):
+    for gen in range(gen, depth):
         if 2 * count > MAX_GENERATION_UNIFORMS:
             raise ValueError(
                 f"generation {gen} of the cluster needs {2 * count} uniforms, over the cap "
@@ -158,7 +179,7 @@ def sample_cluster(params: ModelParams, depth_bound: int, stream) -> Cluster:
         count = int(np.count_nonzero(flags))
         if count == 0:
             break
-    return Cluster(depth_bound=depth_bound, opens=opens)
+    return opens
 
 
 def sample_tally(params: ModelParams, depth_bound: int, stream) -> GenerationTally:
@@ -171,10 +192,9 @@ def sample_tally(params: ModelParams, depth_bound: int, stream) -> GenerationTal
 # count 2 * sum_{g < depth} (2p)^g, which fits most clusters whole; a
 # cluster that outgrows it is drawn again into a block this many times larger.
 _BLOCK_FACTOR = 4
-# Past this expected count nearly every cluster outgrows any block worth
-# drawing, so one small block only catches those that die out early.
-_BLOCK_CAP = 512
-_SMALL_BLOCK = 32
+# No block holds more uniforms: a supercritical cluster outgrows any block
+# worth drawing, so only its first generations are tallied in lockstep.
+_BLOCK_CAP = 1024
 # Uniforms held at once (chunk x block): with their flags and running
 # counts, a working set of about 1 MB.
 _CHUNK_UNIFORMS = 1 << 16
@@ -182,29 +202,32 @@ _CHUNK_UNIFORMS = 1 << 16
 
 def _block_sizes(p: float, depth: int) -> tuple[int, ...]:
     """Uniforms drawn per sample in each batch pass, multiples of 4 (two per
-    node); a cluster outgrowing the last is drawn by ``sample_tally``."""
+    node); a cluster outgrowing the last resumes where it ran past it."""
     expected, batch = 0.0, 2.0
     for _ in range(depth):
         expected += batch
         # stopping here keeps (2p)^g of a deep supercritical cell finite
         if expected > _BLOCK_CAP:
-            return (_SMALL_BLOCK,)
+            break
         batch *= 2.0 * p
-    k = 4 * max(1, math.ceil(_BLOCK_FACTOR * expected / 4))
-    return (k, _BLOCK_FACTOR * k)
+    k = min(4 * max(1, math.ceil(_BLOCK_FACTOR * expected / 4)), _BLOCK_CAP)
+    return (k,) if k == _BLOCK_CAP else (k, min(_BLOCK_FACTOR * k, _BLOCK_CAP))
 
 
-def _tally_blocks(p, depth, streams, rows, k, final, leaves) -> np.ndarray:
+def _tally_blocks(p, depth, streams, rows, k, final, leaves, last):
     """Tally the samples ``rows`` from their first ``k`` uniforms into
-    ``final`` and ``leaves``; return the rows whose clusters need more.
+    ``final`` and ``leaves``; return the rows whose clusters need more and,
+    when ``last``, one ``(gen, offset, N_gen)`` each: the first generation
+    to run past the block starts ``offset`` uniforms in with ``N_gen`` nodes.
 
     A chunk of samples is tallied one generation at a time for all of
     them.  Generation g of a sample reads flags s_g .. s_g + 2 N_g - 1 of
     its block, so with C[j] the open flags among the first j,
     N_{g+1} = C[s_g + 2 N_g] - C[s_g]; L_g counts closed pairs the same way.
     """
+    stops = np.zeros((len(rows), 3), dtype=np.int64)
     if len(rows) == 0:
-        return rows
+        return rows, stops
     chunk = min(len(rows), _CHUNK_UNIFORMS // k)
     uniforms = np.empty((chunk, k))
     open_before = np.zeros((chunk, k + 1), dtype=np.int32)
@@ -227,17 +250,25 @@ def _tally_blocks(p, depth, streams, rows, k, final, leaves) -> np.ndarray:
         first = np.zeros(n, dtype=np.int64)
         count = np.ones(n, dtype=np.int64)
         overflow = outgrown[lo : lo + n]
+        stop = stops[lo : lo + n]
         for g in range(depth):
             end = first + 2 * count
-            overflow |= end > k
-            # rows past their block read garbage here and are redone later
+            past = end > k
+            # at most twice a row: where it first runs past, and on the garbage read there
+            if last and past.any():
+                new = past > overflow
+                np.copyto(stop[:, 0], g, where=new)
+                np.copyto(stop[:, 1], first, where=new)
+                np.copyto(stop[:, 2], count, where=new)
+            overflow |= past
+            # rows past their block read garbage here, redone by a later pass or the resume
             np.minimum(end, k, out=end)
             chunk_leaves[:n, g] = leaf_flat[leaf_row + end // 2] - leaf_flat[leaf_row + first // 2]
             count = open_flat[open_row + end] - open_flat[open_row + first]
             first = end
         final[batch] = count
         leaves[batch] = chunk_leaves[:n]
-    return rows[outgrown]
+    return rows[outgrown], stops[outgrown]
 
 
 def sample_tallies(
@@ -251,24 +282,29 @@ def sample_tallies(
 
     Drawing ``a`` numbers and then ``b`` reads what drawing ``a + b``
     reads, so each sample draws a block of ``k`` uniforms at once, about
-    four times the cell's expected count, and the block holds the
-    per-generation batches back to back.  Samples that outgrow it are drawn
-    again into blocks of ``4k``, and those that outgrow that too go through
-    ``sample_tally``, one generation at a time.  Where the expected count
-    passes 512, ``k`` is 32 and there is no second block.
+    four times the cell's expected count but at most 1024, and the block
+    holds the per-generation batches back to back.  Samples that outgrow it
+    are drawn again into blocks of ``min(4k, 1024)`` while ``k < 1024``.  A
+    cluster that outgrows its last block resumes at the first generation
+    that ran past it: its stream is re-keyed at that generation's offset
+    and grown one generation at a time from there.
     """
     if depth_bound < 0:
         raise ValueError(f"depth_bound must be >= 0, got {depth_bound}")
+    p = params.p
     streams = SampleStreams(seed, samples)
     final = np.empty(samples, dtype=np.int64)
     leaves = np.empty((samples, depth_bound), dtype=np.int64)
     rest = np.arange(samples)
-    for k in _block_sizes(params.p, depth_bound):
-        rest = _tally_blocks(params.p, depth_bound, streams, rest, k, final, leaves)
-    for i in rest.tolist():
-        t = sample_tally(params, depth_bound, streams.at(i))
-        final[i] = t.node_counts[depth_bound]
-        leaves[i] = t.leaf_counts
+    sizes = _block_sizes(p, depth_bound)
+    for k in sizes:
+        rest, stops = _tally_blocks(p, depth_bound, streams, rest, k, final, leaves, k == sizes[-1])
+    for i, (gen, offset, count) in zip(rest.tolist(), stops.tolist()):
+        opens = _grow(p, depth_bound, streams.at(i, offset), gen, count)
+        # generations gen .. read as a cluster whose top level has count nodes
+        t = tally(Cluster(depth_bound - gen, opens))
+        final[i] = t.node_counts[-1]
+        leaves[i, gen:] = t.leaf_counts
     return final, leaves
 
 

@@ -285,7 +285,7 @@ def test_supercritical_frontier_exits_one(capsys, monkeypatch, command):
 
     keyed, at = percolate.cluster_stream, percolate.SampleStreams.at
     monkeypatch.setattr(percolate, "cluster_stream", lambda *key: Recording(keyed(*key)))
-    monkeypatch.setattr(percolate.SampleStreams, "at", lambda self, i: Recording(at(self, i)))
+    monkeypatch.setattr(percolate.SampleStreams, "at", lambda self, *a: Recording(at(self, *a)))
     started = time.perf_counter()
     argv = ["--p", "0.9", "--depth", "40"] + (["--samples", "1"] if command == "ensemble" else [])
     code, out, err = run_cli(capsys, command, *argv)

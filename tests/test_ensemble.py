@@ -203,19 +203,25 @@ def reference_ensemble(params, depth, samples, seed):
     )
 
 
-def uniforms_needed(params, depth, samples, seed):
-    """The uniforms each sample's cluster reads, 2 * sum_{g < depth} N_g."""
-    return np.array(
-        [
-            2 * sum(sample_tally(params, depth, cluster_stream(seed, i)).node_counts[:depth])
-            for i in range(samples)
-        ]
-    )
+def block_walk(params, depth, samples, seed, block):
+    """The uniforms each sample's cluster reads, 2 * sum_{g < depth} N_g,
+    and the offsets 2 * sum_{h < g} N_h at which the samples that outgrow
+    ``block`` resume: g is the first generation running past it."""
+    needed, offsets = [], []
+    for i in range(samples):
+        nodes = sample_tally(params, depth, cluster_stream(seed, i)).node_counts
+        ends = np.cumsum([2 * n for n in nodes[:depth]])
+        needed.append(int(ends[-1]))
+        past = np.flatnonzero(ends > block)
+        if len(past):
+            offsets.append(int(ends[past[0]] - 2 * nodes[past[0]]))
+    return np.array(needed), offsets
 
 
 # single samples, large seeds, several chunks of samples, samples that fit
-# their first block of uniforms and samples that outgrow it; in the last
-# two cells some outgrow the escalated block too (see the next test)
+# their first block of uniforms and samples that outgrow it; in the cells at
+# (0.7, 18), (0.9, 14) and depth 30 some outgrow their last block and resume
+# at a counter position (see the next test)
 @pytest.mark.parametrize(
     "p, depth, samples, seed",
     [
@@ -230,6 +236,7 @@ def uniforms_needed(params, depth, samples, seed):
         (1.0, 4, 10, 2**62),
         (0.5, 30, 400, 3),
         (0.4, 30, 200, 32),
+        (0.9, 14, 60, 2**64 - 27),
     ],
 )
 def test_matches_per_sample_reference(p, depth, samples, seed):
@@ -240,22 +247,31 @@ def test_matches_per_sample_reference(p, depth, samples, seed):
 
 
 @pytest.mark.parametrize(
-    "p, depth, samples, seed, at_edges", [(0.5, 30, 400, 3, False), (0.4, 30, 200, 32, True)]
+    "p, depth, samples, seed, at_edges",
+    [(0.5, 30, 400, 3, False), (0.4, 30, 200, 32, True), (0.9, 14, 60, 2**64 - 27, True)],
 )
 def test_reference_cells_reach_every_pass(p, depth, samples, seed, at_edges):
-    # some samples outgrow the first block and fit the escalated one, and
-    # one outgrows both and is drawn by sample_tally alone; flags come in
-    # pairs, so where at_edges holds one sample reads exactly two uniforms
-    # past the first block and one exactly two past the escalated block, and
-    # an off-by-one in either pass changes that cell
-    first, last = percolate._block_sizes(p, depth)
-    needed = uniforms_needed(ModelParams(p), depth, samples, seed)
+    # some samples fit the first block, some fit the escalated one where
+    # there is one, and some outgrow the last and resume at a counter
+    # position.  Flags come in pairs, so where at_edges holds one sample
+    # resumes exactly at the end of the last block, and with two blocks one
+    # reads exactly two uniforms past each, so an off-by-one in any pass
+    # changes that cell.  In the single-block cell some sample resumes two
+    # uniforms into a Philox counter step, which SampleStreams.at discards.
+    sizes = percolate._block_sizes(p, depth)
+    first, last = sizes[0], sizes[-1]
+    needed, offsets = block_walk(ModelParams(p), depth, samples, seed, last)
     escalated = int(np.count_nonzero((needed > first) & (needed <= last)))
-    alone = int(np.count_nonzero(needed > last))
-    print(f"p={p} depth={depth}: {escalated} escalated, {alone} drawn alone")
-    assert escalated >= 1 and alone >= 1
+    print(f"p={p} depth={depth} blocks={sizes}: {escalated} escalated, resumed at {offsets}")
+    assert np.any(needed <= first) and offsets
+    if len(sizes) == 2:
+        assert escalated >= 1
+        if at_edges:
+            assert first + 2 in needed and last + 2 in needed
+    else:
+        assert any(offset % 4 == 2 for offset in offsets)
     if at_edges:
-        assert first + 2 in needed and last + 2 in needed
+        assert last in offsets
 
 
 def test_keys_past_64_bits_are_rejected_before_any_work():

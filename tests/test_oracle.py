@@ -12,6 +12,7 @@ from perccode.oracle import (
     SizeError,
     _canonical_masks,
     _cluster_from_mask,
+    _enumerated_clusters,
     exact_enumeration,
     joint_leaf_distribution,
     node_distribution,
@@ -251,6 +252,17 @@ def test_enumeration_is_bit_identical_to_the_per_mask_reference(p, depth):
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
         else:
             assert got == want, field.name
+
+
+@pytest.mark.parametrize("depth", range(4))
+def test_enumerated_clusters_are_shared_read_only(depth):
+    # every p at one depth gets the same arrays, so none may be written
+    exact_enumeration(ModelParams(0.4), depth)
+    shared = _enumerated_clusters(depth)
+    assert _enumerated_clusters(depth) is shared
+    for array in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
 
 
 def test_canonical_masks_count_the_distinct_clusters():

@@ -303,6 +303,37 @@ def test_sample_streams_match_cluster_stream(seed):
         assert streams.at(index).random(9).tolist() == cluster_stream(seed, index).random(9).tolist()
 
 
+@pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1])
+def test_keyed_stream_state_is_philox_keyed(seed):
+    # the key handed over as seed state sets what Philox(key=...) sets
+    def plain(state):
+        return {
+            k: plain(v) if isinstance(v, dict) else np.asarray(v).tolist()
+            for k, v in state.items()
+        }
+
+    key = np.array([seed, 5], dtype=np.uint64)
+    keyed = percolate._philox_stream(seed, 5).bit_generator.state
+    assert plain(keyed) == plain(np.random.Philox(key=key).state)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**63 + 1, 2**64 - 1])
+@pytest.mark.parametrize("position", [0, 2, 4, 6, 1022, 1024, 4098])
+def test_sample_streams_at_a_position(seed, position):
+    streams = SampleStreams(seed, 8)
+    streams.at(6, 9).random(3)  # a part-used stream is reset by the next at()
+    drawn = streams.at(5, position).random(11)
+    assert drawn.tolist() == cluster_stream(seed, 5).random(position + 11)[position:].tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.floats(min_value=0.0, max_value=1.0), depth=st.integers(min_value=0, max_value=200))
+def test_block_sizes_are_whole_counter_steps_under_the_cap(p, depth):
+    sizes = percolate._block_sizes(p, depth)
+    assert all(k % 4 == 0 and 4 <= k <= percolate._BLOCK_CAP for k in sizes)
+    assert list(sizes) == sorted(set(sizes))
+
+
 def test_sample_streams_reject_out_of_range_keys():
     with pytest.raises(ValueError):
         SampleStreams(2**64, 1)
@@ -322,6 +353,22 @@ def test_sample_tallies_match_sample_tally(p, depth, seed, samples):
     final, leaves = sample_tallies(m, depth, seed, samples)
     assert final.dtype == leaves.dtype == np.int64
     assert final.shape == (samples,) and leaves.shape == (samples, depth)
+    for i in range(samples):
+        t = sample_tally(m, depth, cluster_stream(seed, i))
+        assert (final[i], leaves[i].tolist()) == (t.node_counts[depth], t.leaf_counts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    p=st.floats(min_value=0.55, max_value=1.0),
+    depth=st.integers(min_value=0, max_value=14),
+    samples=st.integers(min_value=1, max_value=30),
+)
+def test_sample_tallies_match_sample_tally_supercritical(seed, p, depth, samples):
+    # near p = 1 and depth 14 the clusters outgrow their last block and resume
+    m = ModelParams(p)
+    final, leaves = sample_tallies(m, depth, seed, samples)
     for i in range(samples):
         t = sample_tally(m, depth, cluster_stream(seed, i))
         assert (final[i], leaves[i].tolist()) == (t.node_counts[depth], t.leaf_counts)

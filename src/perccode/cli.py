@@ -6,12 +6,12 @@ file-loaded cluster), ``ensemble`` (one Monte Carlo cell as JSON),
 ``sweep`` (CSV over a p/depth grid), ``oracle`` (exhaustive-enumeration
 stats as JSON), and ``decode`` (parse a bitstring against a codebook).
 
-Each subcommand declares exactly the flags it reads.  ``sample``,
+Each subcommand declares exactly the flags it reads, and ``codebook
+--cluster`` refuses the sampling flags it would not read.  ``sample``,
 ``codebook``, ``ensemble`` and ``oracle`` work on one ``(p, depth)`` cell:
 they take one ``--p`` and one ``--depth``, and a repeated flag keeps its
 last value.  Only ``analytic --p`` and ``sweep --p``/``--depth`` repeat.
-On every subcommand ``--out PATH`` writes the output to PATH instead of
-stdout.
+On every subcommand ``--out PATH`` writes the output to PATH instead of stdout.
 
 Exit codes: 0 success, 2 usage error, 1 domain/runtime error, including
 an allocation the machine cannot make.  Every run logs its full
@@ -35,9 +35,18 @@ DEFAULT_SEED = 20127
 
 
 def _log_invocation(name: str, args: argparse.Namespace) -> None:
-    shown = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
+    shown = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "given")}
     params = " ".join(f"{k}={v}" for k, v in shown.items())
     print(f"[perccode {name}] rng={RNG_VERSION} {params}", file=sys.stderr)
+
+
+class _Given(argparse.Action):
+    # a store action that notes its flag: codebook --cluster refuses the flags it would ignore
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        given = namespace.given = {*getattr(namespace, "given", ()), self.option_strings[0]}
+        if "--cluster" in given and len(given) > 1:
+            parser.error(f"argument --cluster: not allowed with {min(given - {'--cluster'})}")
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -163,7 +172,7 @@ def _cell(depth: int) -> argparse.ArgumentParser:
         help="percolation density in [0, 1] (default %(default)s)",
     )
     cell.add_argument(
-        "--depth", type=int, default=depth, metavar="N",
+        "--depth", type=int, default=depth, metavar="N", action=_Given,
         help="maximum generation sampled (default %(default)s)",
     )
     return cell
@@ -180,10 +189,11 @@ def build_parser() -> argparse.ArgumentParser:
     out.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument(
-        "--seed", type=int, default=DEFAULT_SEED, metavar="S",
+        "--seed", type=int, default=DEFAULT_SEED, metavar="S", action=_Given,
         help=f"master seed (default {DEFAULT_SEED}; fixed, never time-based)",
     )
     index = argparse.ArgumentParser(add_help=False)
+    index.register("action", None, _Given)  # its flags default to action=_Given
     index.add_argument("--index", type=int, default=0, help="sample index within the seed")
     samples = argparse.ArgumentParser(add_help=False)
     samples.add_argument("--samples", type=int, default=10000, help="clusters per cell")
@@ -205,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--format", choices=["json", "dot"], default="json")
 
     p_book = add("codebook", _cmd_codebook, [cell, seed, index], "codeword listing of a cluster")
-    p_book.add_argument("--cluster", metavar="PATH", help="load a cluster JSON dump")
+    p_book.add_argument("--cluster", metavar="PATH", action=_Given, help="load a cluster JSON dump")
     p_book.add_argument(
         "--weights", action="store_true",
         help="append the normalized leaf probability as a second column",

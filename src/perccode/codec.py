@@ -10,6 +10,7 @@ decodes it.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .percolate import Cluster
@@ -100,7 +101,7 @@ def encode(book: CodeBook, symbols: list[int]) -> str:
 def decode(book: CodeBook, bits: str) -> list[int]:
     """Greedy left-to-right parse of ``bits`` into entry indices.
 
-    Each position tries only the book's word lengths, shortest first.
+    Each position bisects the sorted book for the one word that can match.
     Consumes the whole input; raises :class:`DecodeError` when a position
     matches no codeword or the input ends mid-codeword.
     """
@@ -116,23 +117,22 @@ def decode(book: CodeBook, bits: str) -> list[int]:
     bad = set(bits) - {"0", "1"}
     if bad:
         raise DecodeError(f"bitstring contains non-bit characters: {sorted(bad)}")
-    lengths = sorted({len(w) for w in book.words})
+    ordered = sorted(book.words)
+    longest = max(map(len, ordered))
     out = []
     pos = 0
     n = len(bits)
     while pos < n:
-        # in a prefix-free book at most one length matches; a slice cut short
-        # by the end of the input has a length tried before it, or no word's
-        for length in lengths:
-            hit = index.get(bits[pos : pos + length])
-            if hit is not None:
-                break
-        else:
-            if n - pos <= lengths[-1]:
+        # a word prefixing ahead sorts at or before it, and in a prefix-free book no
+        # word sorts between them; with none at or before, -1 picks one sorting after
+        ahead = bits[pos : pos + longest]
+        word = ordered[bisect_right(ordered, ahead) - 1]
+        if not ahead.startswith(word):
+            if n - pos <= longest:
                 raise DecodeError(f"input ends mid-codeword after position {pos}")
             raise DecodeError(f"no codeword matches input at position {pos}")
-        out.append(hit)
-        pos += length
+        out.append(index[word])
+        pos += len(word)
     return out
 
 

@@ -37,21 +37,6 @@ class ConfigMeasures:
     leaf_total: int
 
 
-def _leaf_measures(counts: list[int], powers: list[float]):
-    """``(Lambda, entropy, average length)`` of the leaf counts L_0, L_1, ...
-    given ``powers[n] = p**n``; entropy and length are None when Lambda = 0."""
-    terms = [(n, count, powers[n]) for n, count in enumerate(counts) if count]
-    lam = math.fsum([count * w for _, count, w in terms])
-    if lam <= 0.0:
-        return 0.0, None, None
-    entropy = 0.0
-    for _, count, w in terms:
-        if w > 0.0:
-            prob = w / lam
-            entropy -= count * prob * math.log2(prob)
-    return lam, entropy, math.fsum([n * count * w for n, count, w in terms]) / lam
-
-
 def _checked_p(p: float) -> float:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p!r}")
@@ -66,9 +51,16 @@ def measures(t: GenerationTally, p: float) -> ConfigMeasures:
     length are None when Lambda = 0.
     """
     p = _checked_p(p)
-    lam, entropy, length = _leaf_measures(
-        t.leaf_counts, [p**n for n in range(len(t.leaf_counts))]
-    )
+    terms = [(n, count, p**n) for n, count in enumerate(t.leaf_counts) if count]
+    lam = math.fsum([count * w for _, count, w in terms])
+    entropy = length = None
+    if lam > 0.0:
+        entropy = 0.0
+        for _, count, w in terms:
+            prob = w / lam
+            if prob > 0.0:
+                entropy -= count * prob * math.log2(prob)
+        length = math.fsum([n * count * w for n, count, w in terms]) / lam
     return ConfigMeasures(
         normalization=lam, entropy_bits=entropy, avg_length=length, leaf_total=sum(t.leaf_counts)
     )
@@ -84,27 +76,38 @@ def row_measures(leaves: np.ndarray, p: float) -> np.ndarray:
     matrix of leaf counts L_0 ... L_{d-1}, as an ``(n, 3)`` float array
     equal to :func:`measures` row by row, with NaN for its None.
 
-    Each distinct row is measured once, keyed by its bytes.  The arithmetic
-    stays scalar: NumPy's log2 and power differ from the math module's in
-    the last bit for a few inputs in a thousand.
+    Each distinct row, keyed by its bytes, is measured once, and all of them
+    a generation at a time, adding the terms in :func:`measures`' order.
+    NumPy does only products, quotients and differences, which round as in
+    Python; log2 and the powers stay the math module's and Python's, which
+    NumPy's differ from in the last bit for a few inputs in a thousand.
     """
     p = _checked_p(p)
     leaves = np.ascontiguousarray(leaves, dtype=np.int64)
+    if leaves.shape[1] == 0:
+        # leafless, as a zero column says too, which unlike a 0-byte row has a key
+        leaves = np.zeros((len(leaves), 1), dtype=np.int64)
     n_rows, depth = leaves.shape
-    out = np.empty((n_rows, 3))
-    if depth == 0:
-        # no generation above the bound holds a leaf, and a 0-byte row has no key
-        out[:] = _leaf_measures([], [])
-        return out
-    powers = [p**g for g in range(depth)]
     row_bytes = np.dtype((np.void, leaves.itemsize * depth))
-    measured = {}
+    distinct, inverse = {}, np.empty(n_rows, dtype=np.intp)
     for lo in range(0, n_rows, _KEYED_ROWS):
-        rows = leaves[lo : lo + _KEYED_ROWS]
-        keys = rows.view(row_bytes).ravel().tolist()
-        for key, row in zip(keys, rows.tolist()):
-            if key not in measured:
-                measured[key] = _leaf_measures(row, powers)
-        # a leafless row's (0.0, None, None) is stored as (0.0, NaN, NaN)
-        out[lo : lo + len(keys)] = [measured[key] for key in keys]
-    return out
+        keys = leaves[lo : lo + _KEYED_ROWS].view(row_bytes).ravel().tolist()
+        inverse[lo : lo + len(keys)] = [distinct.setdefault(key, len(distinct)) for key in keys]
+    counts = np.frombuffer(b"".join(distinct), dtype=np.int64).reshape(-1, depth)
+    if depth > 1 and counts.max(initial=0) > np.iinfo(np.int64).max // (depth - 1):
+        raise ValueError(f"a leaf count past 2**63 / {depth - 1} overflows n * L_n in int64")
+    powers = [p**n for n in range(depth)]
+    parts = []
+    for rows in np.array_split(counts, range(_KEYED_ROWS, len(counts), _KEYED_ROWS)):
+        lam = np.fromiter(map(math.fsum, (rows * powers).tolist()), float)
+        numerator = np.fromiter(map(math.fsum, (rows * np.arange(depth) * powers).tolist()), float)
+        # a leafless row (Lambda = 0) has no generation with a term, so stays NaN
+        entropy = np.where(lam > 0.0, 0.0, np.nan)
+        for n, w in enumerate(powers):
+            at = np.flatnonzero(rows[:, n] * w)
+            prob = w / lam[at]
+            at, prob = at[prob > 0.0], prob[prob > 0.0]
+            entropy[at] -= rows[at, n] * prob * np.fromiter(map(math.log2, prob.tolist()), float)
+        length = np.divide(numerator, lam, out=np.full(len(lam), np.nan), where=lam > 0.0)
+        parts.append(np.column_stack([lam, entropy, length]))
+    return np.concatenate(parts)[inverse]

@@ -189,9 +189,9 @@ def sample_tally(params: ModelParams, depth_bound: int, stream) -> GenerationTal
 
 
 # A first block holds about this many times the cell's expected uniform
-# count 2 * sum_{g < depth} (2p)^g, which fits most clusters whole; a
-# cluster that outgrows it is drawn again into a block this many times larger.
-_BLOCK_FACTOR = 4
+# count 2 * sum_{g < depth} (2p)^g, the mean Galton-Watson cluster size;
+# a cluster that outgrows it continues into a block four times larger.
+_FIRST_FACTOR = 2
 # No block holds more uniforms: a supercritical cluster outgrows any block
 # worth drawing, so only its first generations are tallied in lockstep.
 _BLOCK_CAP = 1024
@@ -210,45 +210,46 @@ def _block_sizes(p: float, depth: int) -> tuple[int, ...]:
         if expected > _BLOCK_CAP:
             break
         batch *= 2.0 * p
-    k = min(4 * max(1, math.ceil(_BLOCK_FACTOR * expected / 4)), _BLOCK_CAP)
-    return (k,) if k == _BLOCK_CAP else (k, min(_BLOCK_FACTOR * k, _BLOCK_CAP))
+    k = min(4 * max(1, math.ceil(_FIRST_FACTOR * expected / 4)), _BLOCK_CAP)
+    return (k,) if k == _BLOCK_CAP else (k, min(4 * k, _BLOCK_CAP))
 
 
-def _tally_blocks(p, depth, streams, rows, k, final, leaves, last):
+def _tally_blocks(p, depth, streams, rows, start, held, k, final, leaves, last, bufs):
     """Tally the samples ``rows`` from their first ``k`` uniforms into
-    ``final`` and ``leaves``; return the rows whose clusters need more and,
-    when ``last``, one ``(gen, offset, N_gen)`` each: the first generation
-    to run past the block starts ``offset`` uniforms in with ``N_gen`` nodes.
+    ``final`` and ``leaves``, in views of ``bufs``; the pass before ``held``
+    the first ``start`` as packed flags.  Return the rows that need more and
+    their packed flags or, when ``last``, each one's ``(gen, offset, N_gen)``:
+    generation ``gen``, the first to run past, starts ``offset`` uniforms in.
 
-    A chunk of samples is tallied one generation at a time for all of
-    them.  Generation g of a sample reads flags s_g .. s_g + 2 N_g - 1 of
-    its block, so with C[j] the open flags among the first j,
-    N_{g+1} = C[s_g + 2 N_g] - C[s_g]; L_g counts closed pairs the same way.
+    A chunk of samples is tallied one generation at a time for all of them:
+    generation g of a sample reads flags s_g .. s_g + 2 N_g - 1 of its block,
+    so with C[j] the open flags among the first j and D[j] the leaves among
+    the first j / 2 nodes, (N_{g+1}, L_g) is (C, D) at s_g + 2 N_g less at s_g.
     """
     stops = np.zeros((len(rows), 3), dtype=np.int64)
     if len(rows) == 0:
         return rows, stops
     chunk = min(len(rows), _CHUNK_UNIFORMS // k)
-    uniforms = np.empty((chunk, k))
-    open_before = np.zeros((chunk, k + 1), dtype=np.int32)
-    leaves_before = np.zeros((chunk, k // 2 + 1), dtype=np.int32)
-    chunk_leaves = np.empty((chunk, depth), dtype=np.int64)
+    shapes = (chunk, k - start), (chunk, k), (chunk, k + 1, 2), (chunk, depth)
+    uniforms, flags, prefix, gen_leaves = map(np.ndarray, shapes, [b.dtype for b in bufs], bufs)
     outgrown = np.zeros(len(rows), dtype=bool)
+    kept = []
     for lo in range(0, len(rows), chunk):
         batch = rows[lo : lo + chunk]
         n = len(batch)
         for r, i in enumerate(batch.tolist()):
-            streams.at(i).random(out=uniforms[r])
-        flags = uniforms[:n] < p
-        np.cumsum(flags, axis=1, out=open_before[:n, 1:])
+            streams.at(i, start).random(out=uniforms[r])
+        if start:
+            flags[:n, :start] = np.unpackbits(held[lo : lo + n], axis=1, count=start)
+        np.less(uniforms[:n], p, out=flags[:n, start:])
+        np.cumsum(flags[:n], axis=1, out=prefix[:n, 1:, 0])
         # a node's two flags read as one 16-bit word are zero iff it is a leaf
-        np.cumsum(flags.view(np.uint16) == 0, axis=1, out=leaves_before[:n, 1:])
-        open_flat = open_before[:n].ravel()
-        leaf_flat = leaves_before[:n].ravel()
-        open_row = np.arange(n) * (k + 1)
-        leaf_row = np.arange(n) * (k // 2 + 1)
+        np.cumsum(flags[:n].view(np.uint16) == 0, axis=1, out=prefix[:n, 2::2, 1])
+        base = np.arange(n) * (k + 1)
+        # (C, D) at 0 is (0, 0), never gathered: every sample reads its root's flags
+        before = 0
         first = np.zeros(n, dtype=np.int64)
-        count = np.ones(n, dtype=np.int64)
+        count = np.ones(n, dtype=np.int32)
         overflow = outgrown[lo : lo + n]
         stop = stops[lo : lo + n]
         for g in range(depth):
@@ -257,18 +258,18 @@ def _tally_blocks(p, depth, streams, rows, k, final, leaves, last):
             # at most twice a row: where it first runs past, and on the garbage read there
             if last and past.any():
                 new = past > overflow
-                np.copyto(stop[:, 0], g, where=new)
-                np.copyto(stop[:, 1], first, where=new)
-                np.copyto(stop[:, 2], count, where=new)
+                stop[new, 0], stop[new, 1], stop[new, 2] = g, first[new], count[new]
             overflow |= past
             # rows past their block read garbage here, redone by a later pass or the resume
             np.minimum(end, k, out=end)
-            chunk_leaves[:n, g] = leaf_flat[leaf_row + end // 2] - leaf_flat[leaf_row + first // 2]
-            count = open_flat[open_row + end] - open_flat[open_row + first]
-            first = end
+            at_end = prefix.reshape(-1, 2)[base + end]
+            count, gen_leaves[:n, g] = (at_end - before).T
+            before, first = at_end, end
         final[batch] = count
-        leaves[batch] = chunk_leaves[:n]
-    return rows[outgrown], stops[outgrown]
+        leaves[batch] = gen_leaves[:n]
+        if not last:
+            kept.append(np.packbits(flags[:n][overflow], axis=1))
+    return rows[outgrown], stops[outgrown] if last else np.concatenate(kept)
 
 
 def sample_tallies(
@@ -282,12 +283,12 @@ def sample_tallies(
 
     Drawing ``a`` numbers and then ``b`` reads what drawing ``a + b``
     reads, so each sample draws a block of ``k`` uniforms at once, about
-    four times the cell's expected count but at most 1024, and the block
-    holds the per-generation batches back to back.  Samples that outgrow it
-    are drawn again into blocks of ``min(4k, 1024)`` while ``k < 1024``.  A
-    cluster that outgrows its last block resumes at the first generation
-    that ran past it: its stream is re-keyed at that generation's offset
-    and grown one generation at a time from there.
+    twice the cell's expected count but at most 1024, and the block holds
+    the per-generation batches back to back.  While ``k < 1024``, samples
+    that outgrow it keep its flags and continue at counter ``k`` into a
+    block of ``min(4k, 1024)``.  A cluster that outgrows its last block
+    resumes at the first generation that ran past it: its stream is re-keyed
+    at that generation's offset and grown a generation at a time from there.
     """
     if depth_bound < 0:
         raise ValueError(f"depth_bound must be >= 0, got {depth_bound}")
@@ -295,11 +296,17 @@ def sample_tallies(
     streams = SampleStreams(seed, samples)
     final = np.empty(samples, dtype=np.int64)
     leaves = np.empty((samples, depth_bound), dtype=np.int64)
-    rest = np.arange(samples)
     sizes = _block_sizes(p, depth_bound)
-    for k in sizes:
-        rest, stops = _tally_blocks(p, depth_bound, streams, rest, k, final, leaves, k == sizes[-1])
-    for i, (gen, offset, count) in zip(rest.tolist(), stops.tolist()):
+    # chunk buffers shared by the passes; the first pass's chunks hold the most rows
+    rows = min(samples, _CHUNK_UNIFORMS // sizes[0])
+    bufs = np.empty(_CHUNK_UNIFORMS), np.empty(_CHUNK_UNIFORMS, dtype=bool)
+    bufs += np.empty(2 * (_CHUNK_UNIFORMS + rows), np.int32), np.empty(rows * depth_bound, np.int64)
+    rest, carry = np.arange(samples), None
+    for start, k in zip((0,) + sizes, sizes):
+        rest, carry = _tally_blocks(
+            p, depth_bound, streams, rest, start, carry, k, final, leaves, k == sizes[-1], bufs
+        )
+    for i, (gen, offset, count) in zip(rest.tolist(), carry.tolist()):
         opens = _grow(p, depth_bound, streams.at(i, offset), gen, count)
         # generations gen .. read as a cluster whose top level has count nodes
         t = tally(Cluster(depth_bound - gen, opens))

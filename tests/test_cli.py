@@ -194,6 +194,35 @@ def test_codebook_with_weights(capsys, seven_leaf_paths):
     assert float(first[1]) == pytest.approx(0.25 / 0.6875, abs=1e-12)
 
 
+@pytest.mark.parametrize("flag", [["--depth", "5"], ["--seed", "3"], ["--index", "2"]])
+@pytest.mark.parametrize("cluster_first", [True, False])
+def test_codebook_from_file_refuses_sampling_flags(capsys, seven_leaf_paths, flag, cluster_first):
+    # the file fixes the cluster, so a flag choosing which cluster to sample would go unused
+    cluster = ["--cluster", seven_leaf_paths[0]]
+    argv = ["codebook", *(cluster + flag if cluster_first else flag + cluster)]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --cluster: not allowed with {flag[0]}" in captured.err
+
+
+def test_codebook_from_file_refuses_abbreviated_sampling_flags(capsys, seven_leaf_paths):
+    for flag in (["--dep", "5"], ["--seed=3"], ["--ind", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["codebook", "--cluster", seven_leaf_paths[0], *flag])
+        assert exc.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
+
+
+def test_log_shows_values_not_which_flags_were_given(capsys):
+    # only the values go to the log, not which flags carried them
+    code, _, err = run_cli(capsys, "codebook", "--p", "0.6", "--depth", "6", "--seed", "123")
+    assert code == 0
+    assert "depth=6 index=0" in err and "seed=123" in err and "given" not in err
+
+
 def test_codebook_sampled_matches_library(capsys):
     code, out, _ = run_cli(
         capsys, "codebook", "--p", "0.6", "--depth", "6", "--seed", "123"

@@ -153,6 +153,31 @@ def test_decode_matches_the_bit_by_bit_reference(p, depth):
     assert books >= 10
 
 
+def test_decode_unsorted_book_returns_its_own_indices():
+    book = CodeBook(("110", "00", "0100", "1111", "0101", "10", "1110", "011"))
+    # 110 | 00 | 011 | 1110 | 10
+    assert decode(book, "11000011111010") == [0, 1, 7, 6, 5]
+    assert decode(book, "0100") == [2]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    words=st.lists(st.text("01", max_size=6), max_size=12),
+    order=st.randoms(use_true_random=False),
+    message=st.lists(st.integers(min_value=0, max_value=100), max_size=12),
+    noise=st.text("01x", max_size=8),
+    cut=st.integers(min_value=0, max_value=80),
+)
+def test_decode_matches_the_reference_on_any_book_and_input(words, order, message, noise, cut):
+    # shuffled, repeated, empty and non-prefix-free books; encoded messages cut
+    # short or run on with arbitrary characters, and bare noise
+    order.shuffle(words)
+    book = CodeBook(tuple(words))
+    bits = "".join(words[i % len(words)] for i in message) if words else ""
+    for text in (bits, bits[:cut], bits + noise, noise):
+        assert decode_outcome(decode, book, text) == decode_outcome(reference_decode, book, text)
+
+
 def test_decode_guards():
     with pytest.raises(DecodeError):
         decode(CodeBook(()), "0")

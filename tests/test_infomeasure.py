@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from perccode.analytic import ModelParams
 from perccode.infomeasure import _KEYED_ROWS, measures, row_measures
@@ -163,14 +163,60 @@ def test_row_measures_of_depth_zero_rows():
     assert np.array_equal(got, [[0.0, math.nan, math.nan]] * 3, equal_nan=True)
 
 
-def test_row_measures_across_key_chunks():
-    # rows repeat on both sides of every chunk boundary, in shuffled order
+@pytest.mark.parametrize("all_distinct", [False, True])
+def test_row_measures_across_key_chunks(all_distinct):
+    # rows repeat on both sides of every chunk boundary, in shuffled order;
+    # or nearly all differ, so that the distinct rows span several chunks too
+    rng = np.random.default_rng(4)
     _, sampled = sample_tallies(ModelParams(0.6), 10, 9, 300)
-    order = np.random.default_rng(4).integers(0, len(sampled), 2 * _KEYED_ROWS + 7)
+    if all_distinct:
+        sampled = rng.integers(0, 60, (2 * _KEYED_ROWS + 7, 10)) * (rng.random((1, 10)) < 0.8)
+    order = rng.integers(0, len(sampled), 2 * _KEYED_ROWS + 7)
     leaves = sampled[order]
     got = row_measures(leaves, 0.6)
     assert got.shape == (len(leaves), 3)
     assert np.array_equal(got, by_measures(leaves, 0.6), equal_nan=True)
+
+
+def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    """Equal bit for bit, except that any NaN matches any NaN."""
+    nan = np.isnan(want)
+    return bool(np.array_equal(np.isnan(got), nan)) and got[~nan].tobytes() == want[~nan].tobytes()
+
+
+@st.composite
+def leaf_rows(draw):
+    # rows drawn from a small pool, so that some repeat, with zero counts
+    # common and now and then a count past 2**53, which rounds as a float,
+    # up to the largest whose n * L_n fits in int64
+    depth = draw(st.integers(min_value=1, max_value=12))
+    largest = np.iinfo(np.int64).max // max(depth - 1, 1)
+    count = st.one_of(st.just(0), st.integers(0, 40), st.integers(0, largest), st.just(largest))
+    pool = draw(st.lists(st.lists(count, min_size=depth, max_size=depth), min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=30))
+    return np.array([pool[i] for i in picks], dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p=st.one_of(st.sampled_from([0.0, 1.0, 0.5]), st.floats(min_value=0.0, max_value=1.0)),
+    leaves=leaf_rows(),
+)
+@example(p=0.0, leaves=np.array([[0], [3], [0]], dtype=np.int64))
+@example(p=1.0, leaves=np.array([[0, 0, 0], [2, 0, 5], [0, 0, 0]], dtype=np.int64))
+@example(p=0.5, leaves=np.zeros((4, 7), dtype=np.int64))
+@example(p=1e-200, leaves=np.array([[0, 1, 1], [1, 0, 1]], dtype=np.int64))
+# p^1 / Lambda underflows to 0: that leaf adds nothing to the entropy
+@example(p=5e-324, leaves=np.array([[2, 1], [0, 1]], dtype=np.int64))
+def test_row_measures_are_measures_bit_for_bit(p, leaves):
+    assert same_bits(row_measures(leaves, p), by_measures(leaves, p))
+
+
+def test_row_measures_refuses_counts_whose_length_terms_overflow():
+    largest = np.iinfo(np.int64).max // 4
+    assert not np.isnan(row_measures(np.array([[0, 0, 0, 0, largest]]), 0.5)).any()
+    with pytest.raises(ValueError, match="overflows"):
+        row_measures(np.array([[0, 0, 0, 0, largest + 1]]), 0.5)
 
 
 def test_row_measures_rejects_bad_p():

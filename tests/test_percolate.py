@@ -374,6 +374,56 @@ def test_sample_tallies_match_sample_tally_supercritical(seed, p, depth, samples
         assert (final[i], leaves[i].tolist()) == (t.node_counts[depth], t.leaf_counts)
 
 
+# two blocks with samples at both edges; two blocks at (0.6, 16); one block
+@pytest.mark.parametrize(
+    "p, depth, seed, samples",
+    [(0.4, 30, 18, 200), (0.6, 16, 7, 300), (0.9, 14, 2**64 - 27, 60)],
+)
+def test_lockstep_passes_key_each_stream_once_per_block(monkeypatch, p, depth, seed, samples):
+    # every keying of a stream during sample_tallies, with the uniforms then drawn
+    calls = []
+    at = SampleStreams.at
+
+    class Recording:
+        def __init__(self, stream):
+            self.stream = stream
+
+        def random(self, n=None, out=None):
+            calls[-1][2] += n if out is None else out.size
+            return self.stream.random(n, out=out)
+
+    def recording_at(self, index, position=0):
+        calls.append([index, position, 0])
+        return Recording(at(self, index, position))
+
+    monkeypatch.setattr(SampleStreams, "at", recording_at)
+    m = ModelParams(p)
+    final, leaves = sample_tallies(m, depth, seed, samples)
+    sizes = percolate._block_sizes(p, depth)
+    needed, resumes = [], []
+    for i in range(samples):
+        t = sample_tally(m, depth, cluster_stream(seed, i))
+        assert (final[i], leaves[i].tolist()) == (t.node_counts[depth], t.leaf_counts)
+        ends = np.cumsum([2 * n for n in t.node_counts[:depth]]).tolist() or [0]
+        needed.append(ends[-1])
+        past = [g for g, end in enumerate(ends) if end > sizes[-1]]
+        if past:
+            resumes.append([i, ends[past[0]] - 2 * t.node_counts[past[0]]])
+    # the first pass keys each sample once, at position 0, for the first block
+    assert calls[:samples] == [[i, 0, sizes[0]] for i in range(samples)]
+    rest = calls[samples:]
+    if len(sizes) == 2:
+        # the second continues each sample outgrowing the first at its end,
+        # drawing only the uniforms the first block lacks
+        first, second = sizes
+        continued = [[i, first, second - first] for i in range(samples) if needed[i] > first]
+        assert continued and rest[: len(continued)] == continued
+        rest = rest[len(continued) :]
+    # a sample outgrowing the last block resumes at the generation that ran past it
+    assert [call[:2] for call in rest] == resumes
+    assert sorted(i for i, position, _ in calls if position == 0) == list(range(samples))
+
+
 def test_sample_tallies_reject_bad_arguments():
     with pytest.raises(ValueError):
         sample_tallies(ModelParams(0.5), -1, 0, 4)

@@ -246,25 +246,13 @@ def test_matches_per_sample_reference(p, depth, samples, seed):
     )
 
 
-# edges: "first" and "second", some sample reads exactly two uniforms past
-# that block; "resume", some sample resumes exactly at the last block's end
-@pytest.mark.parametrize(
-    "p, depth, samples, seed, edges",
-    [
-        (0.5, 30, 400, 3, ()),
-        (0.4, 30, 200, 32, ("first", "resume")),
-        (0.4, 30, 200, 18, ("first", "second", "resume")),
-        (0.45, 20, 200, 28, ("first", "second", "resume")),
-        (0.9, 14, 60, 2**64 - 27, ("resume",)),
-    ],
-)
-def test_reference_cells_reach_every_pass(p, depth, samples, seed, edges):
-    # some samples fit the first block, some continue into the second where
-    # there is one, and some outgrow the last and resume at a counter
-    # position, some two uniforms into a Philox counter step, which
-    # SampleStreams.at discards.  Flags come in pairs, so a sample reading
-    # exactly two uniforms past a block, or resuming exactly at the last
-    # block's end, catches an off-by-one in that pass.
+def reach_every_pass(p, depth, samples, seed):
+    """Check that some samples of the cell fit the first block, some continue
+    into the second where there is one, and some outgrow the last and resume
+    at a counter position, some two uniforms into a Philox counter step,
+    which SampleStreams.at discards; and that sample_tallies matches the
+    per-sample reference.  Return the block sizes, the uniforms each sample
+    reads and the resume offsets, as block_walk gives them."""
     params = ModelParams(p)
     sizes = percolate._block_sizes(p, depth)
     first, last = sizes[0], sizes[-1]
@@ -275,16 +263,36 @@ def test_reference_cells_reach_every_pass(p, depth, samples, seed, edges):
     assert any(offset % 4 == 2 for offset in offsets)
     if len(sizes) == 2:
         assert continued >= 1
-    if "first" in edges:
-        assert first + 2 in needed
-    if "second" in edges:
-        assert len(sizes) == 2 and last + 2 in needed
-    if "resume" in edges:
-        assert last in offsets
     final, leaves = percolate.sample_tallies(params, depth, seed, samples)
     for i in range(samples):
         t = sample_tally(params, depth, cluster_stream(seed, i))
         assert (final[i], leaves[i].tolist()) == (t.node_counts[depth], t.leaf_counts)
+    return sizes, needed, offsets
+
+
+@pytest.mark.parametrize(
+    "p, depth, samples, seed, at_edges",
+    [(0.5, 30, 400, 3, False), (0.4, 30, 200, 32, True), (0.9, 14, 60, 2**64 - 27, True)],
+)
+def test_reference_cells_reach_every_pass(p, depth, samples, seed, at_edges):
+    # flags come in pairs, so where at_edges holds one sample resumes exactly
+    # at the end of the last block and, with two blocks, one reads exactly
+    # two uniforms past the first, so an off-by-one in either pass changes
+    # that cell
+    sizes, needed, offsets = reach_every_pass(p, depth, samples, seed)
+    if at_edges:
+        assert len(sizes) == 1 or sizes[0] + 2 in needed
+        assert sizes[-1] in offsets
+
+
+@pytest.mark.parametrize("p, depth, samples, seed", [(0.4, 30, 200, 18), (0.45, 20, 200, 28)])
+def test_reference_cells_reach_both_block_edges(p, depth, samples, seed):
+    # two-block cells where some sample reads exactly two uniforms past each
+    # block and one resumes exactly at the end of the last
+    sizes, needed, offsets = reach_every_pass(p, depth, samples, seed)
+    assert len(sizes) == 2
+    assert sizes[0] + 2 in needed and sizes[1] + 2 in needed
+    assert sizes[1] in offsets
 
 
 def test_keys_past_64_bits_are_rejected_before_any_work():

@@ -163,16 +163,21 @@ def test_row_measures_of_depth_zero_rows():
     assert np.array_equal(got, [[0.0, math.nan, math.nan]] * 3, equal_nan=True)
 
 
-@pytest.mark.parametrize("all_distinct", [False, True])
-def test_row_measures_across_key_chunks(all_distinct):
-    # rows repeat on both sides of every chunk boundary, in shuffled order;
-    # or nearly all differ, so that the distinct rows span several chunks too
-    rng = np.random.default_rng(4)
+def test_row_measures_across_key_chunks():
+    # rows repeat on both sides of every chunk boundary, in shuffled order
     _, sampled = sample_tallies(ModelParams(0.6), 10, 9, 300)
-    if all_distinct:
-        sampled = rng.integers(0, 60, (2 * _KEYED_ROWS + 7, 10)) * (rng.random((1, 10)) < 0.8)
-    order = rng.integers(0, len(sampled), 2 * _KEYED_ROWS + 7)
+    order = np.random.default_rng(4).integers(0, len(sampled), 2 * _KEYED_ROWS + 7)
     leaves = sampled[order]
+    got = row_measures(leaves, 0.6)
+    assert got.shape == (len(leaves), 3)
+    assert np.array_equal(got, by_measures(leaves, 0.6), equal_nan=True)
+
+
+def test_row_measures_across_key_chunks_of_distinct_rows():
+    # nearly all rows differ, so that the distinct rows span several chunks too
+    rng = np.random.default_rng(4)
+    sampled = rng.integers(0, 60, (2 * _KEYED_ROWS + 7, 10)) * (rng.random((1, 10)) < 0.8)
+    leaves = sampled[rng.integers(0, len(sampled), 2 * _KEYED_ROWS + 7)]
     got = row_measures(leaves, 0.6)
     assert got.shape == (len(leaves), 3)
     assert np.array_equal(got, by_measures(leaves, 0.6), equal_nan=True)

@@ -35,7 +35,9 @@ DEFAULT_SEED = 20127
 
 
 def _log_invocation(name: str, args: argparse.Namespace) -> None:
-    shown = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "given")}
+    # codebook --cluster samples nothing: its depth, index and seed defaults go unread
+    unread = ("depth", "index", "seed") if getattr(args, "cluster", None) is not None else ()
+    shown = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "given", *unread)}
     params = " ".join(f"{k}={v}" for k, v in shown.items())
     print(f"[perccode {name}] rng={RNG_VERSION} {params}", file=sys.stderr)
 

@@ -191,8 +191,14 @@ def csv_text(rows: list[EnsembleStats]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def sweep(config: EnsembleConfig, log=sys.stderr) -> list[EnsembleStats]:
-    """Run every (p, depth) cell of the grid."""
+# sweep's default log, the sys.stderr of the call: a redirect_stderr may have replaced it
+_STDERR = object()
+
+
+def sweep(config: EnsembleConfig, log=_STDERR) -> list[EnsembleStats]:
+    """Run every (p, depth) cell of the grid, with a line per cell to ``log``
+    (``None`` for none)."""
+    log = sys.stderr if log is _STDERR else log
     rows = []
     for p in config.p_values:
         params = ModelParams(p)

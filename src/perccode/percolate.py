@@ -160,26 +160,30 @@ def sample_cluster(params: ModelParams, depth_bound: int, stream) -> Cluster:
     than ``MAX_GENERATION_UNIFORMS`` uniforms."""
     if depth_bound < 0:
         raise ValueError(f"depth_bound must be >= 0, got {depth_bound}")
-    return Cluster(depth_bound=depth_bound, opens=_grow(params.p, depth_bound, stream))
-
-
-def _grow(p: float, depth: int, stream, gen: int = 0, count: int = 1) -> list[np.ndarray]:
-    """The flags of generations ``gen`` .. (fewer if the cluster dies) of a
-    cluster with ``count`` nodes in generation ``gen``, whose first uniform
-    ``stream`` draws next."""
-    opens = []
-    for gen in range(gen, depth):
+    p, opens, count = params.p, [], 1
+    for gen in range(depth_bound):
         if 2 * count > MAX_GENERATION_UNIFORMS:
-            raise ValueError(
-                f"generation {gen} of the cluster needs {2 * count} uniforms, over the cap "
-                f"MAX_GENERATION_UNIFORMS = {MAX_GENERATION_UNIFORMS} per generation"
-            )
+            raise _over_cap(gen, count)
         flags = stream.random(2 * count) < p
         opens.append(flags)
         count = int(np.count_nonzero(flags))
         if count == 0:
             break
-    return opens
+    return Cluster(depth_bound=depth_bound, opens=opens)
+
+
+def _over_cap(gen: int, count: int) -> ValueError:
+    """The refusal of a generation of ``count`` nodes, over ``MAX_GENERATION_UNIFORMS``."""
+    return ValueError(
+        f"generation {gen} of the cluster needs {2 * count} uniforms, over the cap "
+        f"MAX_GENERATION_UNIFORMS = {MAX_GENERATION_UNIFORMS} per generation"
+    )
+
+
+def _raw_threshold(p: float) -> int:
+    """The largest raw Philox word ``w`` whose uniform ``(w >> 11) * 2**-53``
+    is below ``p``: as p * 2**53 is exact, ``w >> 11`` below its ceiling."""
+    return (math.ceil(p * 2**53) << 11) - 1
 
 
 def sample_tally(params: ModelParams, depth_bound: int, stream) -> GenerationTally:
@@ -288,7 +292,8 @@ def sample_tallies(
     that outgrow it keep its flags and continue at counter ``k`` into a
     block of ``min(4k, 1024)``.  A cluster that outgrows its last block
     resumes at the first generation that ran past it: its stream is re-keyed
-    at that generation's offset and grown a generation at a time from there.
+    at that generation's offset and counted from there a generation at a time,
+    no ``Cluster`` built, in raw words: ``w <= _raw_threshold(p)`` iff open.
     """
     if depth_bound < 0:
         raise ValueError(f"depth_bound must be >= 0, got {depth_bound}")
@@ -306,12 +311,19 @@ def sample_tallies(
         rest, carry = _tally_blocks(
             p, depth_bound, streams, rest, start, carry, k, final, leaves, k == sizes[-1], bufs
         )
+    # T(0) = -1 is no uint64, but p = 0 never resumes: its root's two uniforms fit any block
+    top = np.uint64(_raw_threshold(p)) if p else None
     for i, (gen, offset, count) in zip(rest.tolist(), carry.tolist()):
-        opens = _grow(p, depth_bound, streams.at(i, offset), gen, count)
-        # generations gen .. read as a cluster whose top level has count nodes
-        t = tally(Cluster(depth_bound - gen, opens))
-        final[i] = t.node_counts[-1]
-        leaves[i, gen:] = t.leaf_counts
+        draw, row = streams.at(i, offset).bit_generator.random_raw, []
+        # a cluster that dies draws no more words and counts zeros
+        for g in range(gen, depth_bound):
+            if 2 * count > MAX_GENERATION_UNIFORMS:
+                raise _over_cap(g, count)
+            flags = draw(2 * count) <= top
+            row.append(count - np.count_nonzero(flags.view(np.uint16)))
+            count = np.count_nonzero(flags)
+        final[i] = count
+        leaves[i, gen:] = row
     return final, leaves
 
 

@@ -223,6 +223,15 @@ def test_log_shows_values_not_which_flags_were_given(capsys):
     assert "depth=6 index=0" in err and "seed=123" in err and "given" not in err
 
 
+def test_codebook_from_file_logs_no_sampling_defaults(capsys, seven_leaf_paths):
+    # a loaded cluster reads no depth, index or seed, so the log shows none
+    code, _, err = run_cli(capsys, "codebook", "--cluster", seven_leaf_paths[0])
+    assert code == 0
+    line = err.splitlines()[0]
+    assert line.startswith("[perccode codebook] ") and f"cluster={seven_leaf_paths[0]}" in line
+    assert "depth=" not in line and "index=" not in line and "seed=" not in line
+
+
 def test_codebook_sampled_matches_library(capsys):
     code, out, _ = run_cli(
         capsys, "codebook", "--p", "0.6", "--depth", "6", "--seed", "123"
@@ -302,15 +311,22 @@ def test_supercritical_frontier_exits_one(capsys, monkeypatch, command):
     # the p = 0.9 frontier grows about 1.8x per generation and would pass
     # 10^9 nodes by generation 36; it is refused at the per-generation cap
     # without asking the stream for the oversized draw
-    requests = []
+    requests, raw = [], []
 
     class Recording:
         def __init__(self, stream):
             self.stream = stream
+            # the ensemble's resume draws raw words through the stream's bit generator
+            self.bit_generator = self
 
         def random(self, n=None, out=None):
             requests.append(n if out is None else out.size)
             return self.stream.random(n, out=out)
+
+        def random_raw(self, n):
+            requests.append(n)
+            raw.append(n)
+            return self.stream.bit_generator.random_raw(n)
 
     keyed, at = percolate.cluster_stream, percolate.SampleStreams.at
     monkeypatch.setattr(percolate, "cluster_stream", lambda *key: Recording(keyed(*key)))
@@ -323,6 +339,9 @@ def test_supercritical_frontier_exits_one(capsys, monkeypatch, command):
     assert out == ""
     assert "MAX_GENERATION_UNIFORMS = 16777216" in err
     assert requests and max(requests) <= percolate.MAX_GENERATION_UNIFORMS
+    # the ensemble's one sample outgrows its block: the resume is seen drawing, up to the cap
+    assert bool(raw) == (command == "ensemble")
+    assert max(raw, default=0) <= percolate.MAX_GENERATION_UNIFORMS
 
 
 def test_decode_against_book_file(capsys, seven_leaf_paths):

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import math
 import re
@@ -314,3 +315,14 @@ def test_sweep_log_reports_time_and_rate():
         assert match is not None, line
         assert match.group(1) == depth
         assert float(match.group(2)) > 0.0 and int(match.group(3)) > 0
+
+
+def test_sweep_logs_to_the_stderr_of_the_call():
+    # the default log is looked up per call, so redirect_stderr catches it
+    config = EnsembleConfig(p_values=[0.5], depths=[4], samples=10, seed=1)
+    with contextlib.redirect_stderr(io.StringIO()) as log:
+        sweep(config)
+    assert log.getvalue().startswith("[sweep] p=0.5 depth=4 samples=10 done in ")
+    with contextlib.redirect_stderr(io.StringIO()) as log:
+        sweep(config, log=None)
+    assert log.getvalue() == ""

@@ -387,10 +387,16 @@ def test_lockstep_passes_key_each_stream_once_per_block(monkeypatch, p, depth, s
     class Recording:
         def __init__(self, stream):
             self.stream = stream
+            # the resume draws raw words through the stream's bit generator
+            self.bit_generator = self
 
         def random(self, n=None, out=None):
             calls[-1][2] += n if out is None else out.size
             return self.stream.random(n, out=out)
+
+        def random_raw(self, n):
+            calls[-1][2] += n
+            return self.stream.bit_generator.random_raw(n)
 
     def recording_at(self, index, position=0):
         calls.append([index, position, 0])
@@ -400,7 +406,7 @@ def test_lockstep_passes_key_each_stream_once_per_block(monkeypatch, p, depth, s
     m = ModelParams(p)
     final, leaves = sample_tallies(m, depth, seed, samples)
     sizes = percolate._block_sizes(p, depth)
-    needed, resumes = [], []
+    needed, resumes, resumed_words = [], [], []
     for i in range(samples):
         t = sample_tally(m, depth, cluster_stream(seed, i))
         assert (final[i], leaves[i].tolist()) == (t.node_counts[depth], t.leaf_counts)
@@ -409,6 +415,7 @@ def test_lockstep_passes_key_each_stream_once_per_block(monkeypatch, p, depth, s
         past = [g for g, end in enumerate(ends) if end > sizes[-1]]
         if past:
             resumes.append([i, ends[past[0]] - 2 * t.node_counts[past[0]]])
+            resumed_words.append(sum(2 * n for n in t.node_counts[past[0] : depth]))
     # the first pass keys each sample once, at position 0, for the first block
     assert calls[:samples] == [[i, 0, sizes[0]] for i in range(samples)]
     rest = calls[samples:]
@@ -421,7 +428,33 @@ def test_lockstep_passes_key_each_stream_once_per_block(monkeypatch, p, depth, s
         rest = rest[len(continued) :]
     # a sample outgrowing the last block resumes at the generation that ran past it
     assert [call[:2] for call in rest] == resumes
+    # and draws exactly the words of generations g .. depth - 1, two per node
+    assert [call[2] for call in rest] == resumed_words
     assert sorted(i for i, position, _ in calls if position == 0) == list(range(samples))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p=st.one_of(
+        st.sampled_from([0.0, 5e-324, 2.0**-53, 0.5, 1 - 2.0**-53, 1.0]),
+        st.integers(min_value=0, max_value=2**53).map(lambda m: m * 2.0**-53),
+        st.floats(min_value=0.0, max_value=1.0),
+    ),
+    words=st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=8),
+)
+def test_raw_threshold_opens_the_words_random_reads_below_p(p, words):
+    # random() on Philox reads a raw word w as (w >> 11) * 2**-53
+    top = percolate._raw_threshold(p)
+    for w in [top, top + 1, *words]:
+        if 0 <= w < 2**64:
+            assert (w <= top) == ((w >> 11) * 2.0**-53 < p)
+
+
+@pytest.mark.parametrize("p", [0.7, 0.9])
+def test_raw_words_give_the_flags_of_the_uniforms(p):
+    words = cluster_stream(20127, 5).bit_generator.random_raw(2**20)
+    uniforms = cluster_stream(20127, 5).random(2**20)
+    assert np.array_equal(words <= np.uint64(percolate._raw_threshold(p)), uniforms < p)
 
 
 def test_sample_tallies_reject_bad_arguments():

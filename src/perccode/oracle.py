@@ -6,12 +6,12 @@ Two independent routes to exact answers:
   exact distribution of the generation-n node count (and, via a bivariate
   inner polynomial, the exact joint distribution of node and leaf counts);
 * exhaustive enumeration walks every open/closed assignment of a shallow
-  truncated tree's edges, weighting each by p^(#open) q^(#closed).  Edges
-  below a closed edge are never looked at, so the 2^E assignments describe
-  far fewer clusters (676 at depth 3); each distinct cluster is tallied
-  once by the same ``tally`` the simulation uses, its leaf-count row is
-  measured by the ensemble's own ``infomeasure.row_measures``, and its
-  numbers are weighted once per assignment.
+  truncated tree's edges, weighting each by p^(#open) q^(#closed).  The
+  node and leaf counts of every assignment are read straight off its edge
+  bits, all assignments at once, without building a cluster or calling the
+  sampler's ``tally`` (a per-assignment test checks that ``tally`` against
+  these counts); each leaf-count row is measured by the ensemble's own
+  ``infomeasure.row_measures``.
 
 Both are deliberately capped at small sizes; they exist to validate the
 closed forms and the sampler, not to scale.
@@ -27,7 +27,6 @@ import numpy as np
 
 from .analytic import ModelParams
 from .infomeasure import row_measures
-from .percolate import Cluster, tally
 
 __all__ = [
     "SizeError",
@@ -166,68 +165,50 @@ def joint_leaf_distribution(params: ModelParams, n: int) -> JointDist:
     return JointDist(generation=n, probs=acc)
 
 
-def _cluster_from_mask(mask: int, depth: int) -> Cluster:
-    """Root cluster of one full edge assignment; edge 2k/2k+1 is the
-    left/right edge of heap-indexed node k, open iff its bit is set, and
-    leads to node 2k+1/2k+2, one past the edge's own index."""
-    opens = []
-    live = [0]
-    for _ in range(depth):
-        edges = [e for k in live for e in (2 * k, 2 * k + 1)]
-        flags = [(mask >> e) & 1 for e in edges]
-        opens.append(np.array(flags, dtype=bool))
-        live = [e + 1 for e, is_open in zip(edges, flags) if is_open]
-        if not live:
-            break
-    return Cluster(depth_bound=depth, opens=opens)
-
-
-def _canonical_masks(depth: int) -> np.ndarray:
-    """Every edge mask 0 .. 2^E - 1 with the bits of the edges its root
-    cluster never reaches cleared: two masks describe the same cluster iff
-    their canonical masks are equal."""
-    masks = np.arange(1 << (2 ** (depth + 1) - 2), dtype=np.int64)
-    canonical = np.zeros_like(masks)
-    # live[k]: node k is in the root cluster; heap order puts parents first
-    live = [np.ones(len(masks), dtype=np.int64)]
-    for k in range(2**depth - 1):
-        for e in (2 * k, 2 * k + 1):
-            reached = live[k] & (masks >> e)
-            canonical |= reached << e
-            live.append(reached)
-    return canonical
-
-
 @functools.cache
-def _enumerated_clusters(depth: int) -> tuple[np.ndarray, ...]:
+def _enumerated_tallies(depth: int) -> tuple[np.ndarray, ...]:
     """What enumerations at ``depth`` share whatever p is, read-only: per
-    configuration its open-edge count and the index of its distinct cluster,
-    per distinct cluster its node-count (float) and leaf-count rows."""
+    configuration its open-edge count, its node-count row N_0..N_d
+    and the index of its leaf-count row L_0..L_{d-1} among the distinct ones.
+
+    Edge e of the heap-indexed tree joins node e // 2 to node e + 1 and is
+    open iff bit e of the configuration's mask is set.  A node is live iff
+    its parent is live and the edge between them is open; a live node above
+    the bound is a leaf iff both of its own edges are closed.
+    """
     n_edges = 2 ** (depth + 1) - 2
-    masks = np.arange(1 << n_edges, dtype=np.int64)
-    opened = np.zeros_like(masks)
-    for e in range(n_edges):
-        opened += (masks >> e) & 1
-    distinct, inverse = np.unique(_canonical_masks(depth), return_inverse=True)
-    tallies = [tally(_cluster_from_mask(mask, depth)) for mask in distinct.tolist()]
-    node_rows = np.array([t.node_counts for t in tallies], dtype=float)
-    leaf_rows = np.array([t.leaf_counts for t in tallies], dtype=np.int64)
-    for array in (opened, inverse, node_rows, leaf_rows):
+    # bool and uint8 working arrays: E <= 14 and N_g <= 8 up to MAX_ENUM_DEPTH
+    masks = np.arange(1 << n_edges, dtype="<u2").view(np.uint8).reshape(-1, 2)
+    opens = np.unpackbits(masks, axis=1, bitorder="little")[:, :n_edges].view(bool)
+    opened = opens.sum(axis=1, dtype=np.uint8)
+    live = np.ones((len(masks), n_edges + 1), dtype=bool)
+    for e in range(n_edges):  # heap order puts each parent before its children
+        live[:, e + 1] = live[:, e // 2] & opens[:, e]
+    leaf = live[:, : n_edges // 2] & ~opens[:, 0::2] & ~opens[:, 1::2]
+    # generation g holds heap nodes 2^g - 1 .. 2^(g+1) - 2
+    starts = 2 ** np.arange(depth + 1) - 1
+    node_rows = np.add.reduceat(live, starts, axis=1, dtype=np.uint8)
+    leaves = np.add.reduceat(leaf, starts[:-1], axis=1, dtype=np.uint8)
+    # L_g <= 2^g < 2^depth, so the row's digits in base 2^depth key it
+    keys = leaves @ (1 << depth) ** np.arange(depth)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    leaf_rows = leaves[first]
+    for array in (opened, node_rows, leaf_rows, inverse):
         array.flags.writeable = False
-    return opened, inverse, node_rows, leaf_rows
+    return opened, node_rows, leaf_rows, inverse
 
 
 def exact_enumeration(params: ModelParams, depth: int) -> ExactStats:
     """Exact expectations over all 2^E edge configurations (E = 2^(depth+1)-2).
 
     Each configuration is weighted by p^(#open) q^(#closed) over *all*
-    edges of the truncated tree.  Each distinct cluster (1 / 4 / 25 / 676
-    at depth 0 / 1 / 2 / 3) goes once through the production ``tally`` and
-    stands for every configuration yielding it; the clusters' leaf-count
-    rows go through :func:`~perccode.infomeasure.row_measures`, which
-    measures each distinct row once (10 at depth 3).  The clusters and their
-    tallies do not depend on p, so they are worked out once per depth and
-    kept.  All sums still run over the 2^E configurations in order.
+    edges of the truncated tree.  Its per-generation node and leaf counts
+    come from its edge bits alone, with no cluster built and no call to the
+    sampler's ``tally``; the leaf-count rows go through
+    :func:`~perccode.infomeasure.row_measures`, which measures each distinct
+    row once (10 at depth 3).  The counts do not depend on p, so they are
+    worked out once per depth and kept.  All sums run over the 2^E
+    configurations in order.
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
@@ -235,17 +216,17 @@ def exact_enumeration(params: ModelParams, depth: int) -> ExactStats:
         raise SizeError(f"depth {depth} exceeds cap {MAX_ENUM_DEPTH}")
     p, q = params.p, params.q
     n_edges = 2 ** (depth + 1) - 2
-    opened, inverse, node_rows, leaf_rows = _enumerated_clusters(depth)
+    opened, node_rows, leaf_rows, inverse = _enumerated_tallies(depth)
     # a configuration's weight depends only on how many edges it opens
     weights = np.array([p**k * q ** (n_edges - k) for k in range(n_edges + 1)])[opened]
-    # one row per distinct cluster, spread back to one per configuration
-    nodes = node_rows[inverse]
+    nodes = node_rows.astype(float)
+    # distinct leaf-count rows, spread back to one per configuration
     leaves = leaf_rows.astype(float)[inverse]
     # entropy and length are NaN together, where Lambda = 0
     lams, entropies, lengths = row_measures(leaf_rows, p)[inverse].T
     # bincount adds the weights in mask order, one configuration at a time
     node_hist = [
-        np.bincount(nodes[:, g].astype(np.intp), weights=weights, minlength=2**g + 1)
+        np.bincount(node_rows[:, g], weights=weights, minlength=2**g + 1)
         for g in range(depth + 1)
     ]
 

@@ -1,5 +1,5 @@
-"""Shared fixtures: hand-built clusters, scripted uniform streams and a
-caller-side thread pool over ensemble cells."""
+"""Shared fixtures: hand-built clusters, the cluster of an edge mask,
+scripted uniform streams and a caller-side thread pool over ensemble cells."""
 
 from __future__ import annotations
 
@@ -31,6 +31,22 @@ def cluster_from_codewords(words, depth_bound: int) -> Cluster:
         if not level:
             break
     return Cluster(depth_bound=depth_bound, opens=opens)
+
+
+def cluster_from_mask(mask: int, depth: int) -> Cluster:
+    """Root cluster of one full edge assignment; edge 2k/2k+1 is the
+    left/right edge of heap-indexed node k, open iff its bit is set, and
+    leads to node 2k+1/2k+2, one past the edge's own index."""
+    opens = []
+    live = [0]
+    for _ in range(depth):
+        edges = [e for k in live for e in (2 * k, 2 * k + 1)]
+        flags = [(mask >> e) & 1 for e in edges]
+        opens.append(np.array(flags, dtype=bool))
+        live = [e + 1 for e, is_open in zip(edges, flags) if is_open]
+        if not live:
+            break
+    return Cluster(depth_bound=depth, opens=opens)
 
 
 class FixtureStream:

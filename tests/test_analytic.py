@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 from perccode import analytic, oracle, percolate
 from perccode.analytic import DomainError, ModelParams
 
+from conftest import cluster_from_mask
+
 
 def test_params_derived_constants():
     m = ModelParams(0.6)
@@ -211,7 +213,7 @@ def test_lambda_recursion_matches_enumeration(p, depth):
     for mask in range(1 << n_edges):
         opened = mask.bit_count()
         weights.append(p**opened * (1.0 - p) ** (n_edges - opened))
-        leaves = percolate.tally(oracle._cluster_from_mask(mask, depth)).leaf_counts
+        leaves = percolate.tally(cluster_from_mask(mask, depth)).leaf_counts
         lams.append(math.fsum(count * p**n for n, count in enumerate(leaves)))
     mean = math.fsum(w * lam for w, lam in zip(weights, lams))
     var = math.fsum(w * lam * lam for w, lam in zip(weights, lams)) - mean * mean

@@ -22,15 +22,39 @@ def test_every_export_resolves():
     assert [name for name in imported if not hasattr(perccode, name)] == []
 
 
+def _package_imports(path: Path) -> list[tuple[str, str]]:
+    """``(module, name)`` of each name one module of the package imports
+    from the package, the module written out from ``perccode``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if node.level > 0:
+            module = f"perccode.{module}".rstrip(".")
+        if module.split(".")[0] == "perccode":
+            found += [(module, alias.name) for alias in node.names]
+    return found
+
+
 def test_no_module_imports_a_private_name_of_a_sibling():
     # a name with a leading underscore belongs to its own module
     crossings = [
-        f"{path.name}: from {'.' * node.level}{node.module or ''} import {alias.name}"
+        f"{path.name}: from {module} import {name}"
         for path in sorted(Path(perccode.__file__).parent.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.ImportFrom)
-        and (node.level > 0 or (node.module or "").split(".")[0] == "perccode")
-        for alias in node.names
-        if alias.name.startswith("_")
+        for module, name in _package_imports(path)
+        if name.startswith("_")
     ]
     assert crossings == []
+
+
+def test_oracle_imports_nothing_from_the_sampler():
+    # the enumeration counts its configurations itself, so that a test can
+    # check the sampler's tally against it
+    imports = _package_imports(Path(perccode.__file__).parent / "oracle.py")
+    assert imports
+    assert [
+        (module, name)
+        for module, name in imports
+        if module == "perccode.percolate" or (module, name) == ("perccode", "percolate")
+    ] == []

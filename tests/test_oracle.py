@@ -10,19 +10,19 @@ from perccode.infomeasure import measures
 from perccode.oracle import (
     ExactStats,
     SizeError,
-    _canonical_masks,
-    _cluster_from_mask,
-    _enumerated_clusters,
+    _enumerated_tallies,
     exact_enumeration,
     joint_leaf_distribution,
     node_distribution,
 )
 from perccode.percolate import tally
 
+from conftest import cluster_from_mask
+
 
 def reference_enumeration(params: ModelParams, depth: int) -> ExactStats:
-    """One tally and one ``measures`` per edge mask, all 2^E of them: the
-    enumeration before distinct clusters were tallied once."""
+    """One cluster, one ``tally`` and one ``measures`` per edge mask, all
+    2^E of them: the sampler's own counting, one configuration at a time."""
     p, q = params.p, params.q
     n_edges = 2 ** (depth + 1) - 2
     pow_p = [p**k for k in range(n_edges + 1)]
@@ -31,7 +31,7 @@ def reference_enumeration(params: ModelParams, depth: int) -> ExactStats:
     n_configs = 1 << n_edges
     opened = [mask.bit_count() for mask in range(n_configs)]
     weights = np.array([pow_p[k] * pow_q[n_edges - k] for k in opened])
-    tallies = [tally(_cluster_from_mask(mask, depth)) for mask in range(n_configs)]
+    tallies = [tally(cluster_from_mask(mask, depth)) for mask in range(n_configs)]
     measured = [measures(t, p) for t in tallies]
     nodes = np.array([t.node_counts for t in tallies], dtype=float)
     leaves = np.array([t.leaf_counts for t in tallies], dtype=float)
@@ -258,28 +258,19 @@ def test_enumeration_is_bit_identical_to_the_per_mask_reference(p, depth):
 def test_enumerated_clusters_are_shared_read_only(depth):
     # every p at one depth gets the same arrays, so none may be written
     exact_enumeration(ModelParams(0.4), depth)
-    shared = _enumerated_clusters(depth)
-    assert _enumerated_clusters(depth) is shared
+    shared = _enumerated_tallies(depth)
+    assert _enumerated_tallies(depth) is shared
     for array in shared:
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
 
 
-def test_canonical_masks_count_the_distinct_clusters():
-    # a(d) = (1 + a(d - 1))^2: each child subtree of the root is absent or
-    # one of the a(d - 1) clusters one level shallower
-    counts = [len(np.unique(_canonical_masks(d))) for d in range(4)]
-    assert counts == [1, 4, 25, 676]
-
-
 @pytest.mark.parametrize("depth", range(4))
-def test_canonical_mask_is_the_same_cluster(depth):
-    canonical = _canonical_masks(depth)
-    masks = range(len(canonical))
-    if depth == 3:
-        masks = np.random.default_rng(8).choice(len(canonical), 2000, replace=False).tolist()
-    for mask in masks:
-        got = _cluster_from_mask(mask, depth).opens
-        want = _cluster_from_mask(int(canonical[mask]), depth).opens
-        assert len(got) == len(want)
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+def test_mask_counts_are_the_tally_of_each_configuration(depth):
+    opened, nodes, leaf_rows, inverse = _enumerated_tallies(depth)
+    assert len(opened) == len(nodes) == len(inverse) == 1 << (2 ** (depth + 1) - 2)
+    for mask in range(len(opened)):
+        want = tally(cluster_from_mask(mask, depth))
+        assert nodes[mask].tolist() == want.node_counts, mask
+        assert leaf_rows[inverse[mask]].tolist() == want.leaf_counts, mask
+        assert opened[mask] == mask.bit_count()

@@ -13,7 +13,10 @@ errors are sample standard deviation / sqrt(count used).
 A cell is tallied in one call of :func:`~perccode.percolate.sample_tallies`
 and its leaf-count rows measured by
 :func:`~perccode.infomeasure.row_measures`, once per distinct row; every
-number is the one the per-sample path gives.
+number is the one the per-sample path gives.  A cluster cut at generation
+``d`` is the cluster grown to bound ``d``, so :func:`sweep` draws each p
+once, at its deepest depth, and reads every shallower cell off the same
+tallies, with the reduction :func:`run_ensemble` uses.
 
 Determinism: every per-sample result lands in a slot of a preallocated
 array indexed by sample, and reductions always run over the full arrays.
@@ -133,7 +136,17 @@ def run_ensemble(params: ModelParams, depth: int, samples: int, seed: int) -> En
         raise ValueError(f"samples must be >= 1, got {samples}")
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    n_final, leaf_counts = sample_tallies(params, depth, seed, samples)
+    nodes, leaves = sample_tallies(params, depth, seed, samples)
+    return _cell_stats(params, seed, nodes, leaves, depth)
+
+
+def _cell_stats(params: ModelParams, seed: int, nodes, leaves, depth: int) -> EnsembleStats:
+    """The row of the ``depth`` cell from ``sample_tallies`` at a depth
+    bound of ``depth`` or deeper, cut to ``depth``."""
+    # a C-ordered copy, as a draw at ``depth`` itself gives: NumPy's float sums follow the layout
+    leaf_counts = np.ascontiguousarray(leaves[:, :depth])
+    n_final = nodes[:, depth]
+    samples = len(leaf_counts)
     _, entropy, length = row_measures(leaf_counts, params.p).T
     alive = n_final > 0
 
@@ -197,15 +210,24 @@ _STDERR = object()
 
 def sweep(config: EnsembleConfig, log=_STDERR) -> list[EnsembleStats]:
     """Run every (p, depth) cell of the grid, with a line per cell to ``log``
-    (``None`` for none)."""
+    (``None`` for none).
+
+    Each p draws its samples once, at the deepest depth, and each cell is
+    the row ``run_ensemble`` gives it.  A cell's line books the time since
+    its p's line before, or since the p began, so a p's shared draw falls
+    on its first cell and the lines add up to the sweep's wall time."""
     log = sys.stderr if log is _STDERR else log
     rows = []
+    if not config.depths:
+        return rows
     for p in config.p_values:
         params = ModelParams(p)
+        start = time.perf_counter()
+        nodes, leaves = sample_tallies(params, max(config.depths), config.seed, config.samples)
         for depth in config.depths:
-            start = time.perf_counter()
-            rows.append(run_ensemble(params, depth, config.samples, config.seed))
-            wall = time.perf_counter() - start
+            rows.append(_cell_stats(params, config.seed, nodes, leaves, depth))
+            now = time.perf_counter()
+            wall, start = now - start, now
             if log is not None:
                 print(
                     f"[sweep] p={p} depth={depth} samples={config.samples} done"

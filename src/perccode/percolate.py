@@ -218,10 +218,10 @@ def _block_sizes(p: float, depth: int) -> tuple[int, ...]:
     return (k,) if k == _BLOCK_CAP else (k, min(4 * k, _BLOCK_CAP))
 
 
-def _tally_blocks(p, depth, streams, rows, start, held, k, final, leaves, last, bufs):
+def _tally_blocks(p, depth, streams, rows, start, held, k, nodes, leaves, last, bufs):
     """Tally the samples ``rows`` from their first ``k`` uniforms into
-    ``final`` and ``leaves``, in views of ``bufs``; the pass before ``held``
-    the first ``start`` as packed flags.  Return the rows that need more and
+    ``nodes[:, 1:]`` and ``leaves``, in views of ``bufs``; the pass before
+    ``held`` the first ``start`` as packed flags.  Return the rows that need more and
     their packed flags or, when ``last``, each one's ``(gen, offset, N_gen)``:
     generation ``gen``, the first to run past, starts ``offset`` uniforms in.
 
@@ -234,8 +234,8 @@ def _tally_blocks(p, depth, streams, rows, start, held, k, final, leaves, last, 
     if len(rows) == 0:
         return rows, stops
     chunk = min(len(rows), _CHUNK_UNIFORMS // k)
-    shapes = (chunk, k - start), (chunk, k), (chunk, k + 1, 2), (chunk, depth)
-    uniforms, flags, prefix, gen_leaves = map(np.ndarray, shapes, [b.dtype for b in bufs], bufs)
+    shapes = (chunk, k - start), (chunk, k), (chunk, k + 1, 2), (chunk, depth, 2)
+    uniforms, flags, prefix, gen_tallies = map(np.ndarray, shapes, [b.dtype for b in bufs], bufs)
     outgrown = np.zeros(len(rows), dtype=bool)
     kept = []
     for lo in range(0, len(rows), chunk):
@@ -267,10 +267,11 @@ def _tally_blocks(p, depth, streams, rows, start, held, k, final, leaves, last, 
             # rows past their block read garbage here, redone by a later pass or the resume
             np.minimum(end, k, out=end)
             at_end = prefix.reshape(-1, 2)[base + end]
-            count, gen_leaves[:n, g] = (at_end - before).T
+            np.subtract(at_end, before, out=gen_tallies[:n, g])
+            count = gen_tallies[:n, g, 0]
             before, first = at_end, end
-        final[batch] = count
-        leaves[batch] = gen_leaves[:n]
+        nodes[batch, 1:] = gen_tallies[:n, :, 0]
+        leaves[batch] = gen_tallies[:n, :, 1]
         if not last:
             kept.append(np.packbits(flags[:n][overflow], axis=1))
     return rows[outgrown], stops[outgrown] if last else np.concatenate(kept)
@@ -280,10 +281,13 @@ def sample_tallies(
     params: ModelParams, depth_bound: int, seed: int, samples: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Tallies of samples ``0 .. samples - 1`` of master ``seed`` at once:
-    int64 arrays of the final node counts N_depth_bound, one per sample, and
-    of the leaf counts L_0 .. L_{depth_bound - 1}, one row per sample, each
-    equal to what ``sample_tally(params, depth_bound, cluster_stream(seed,
-    i))`` counts.
+    int64 arrays ``nodes`` of the node counts N_0 .. N_depth_bound and
+    ``leaves`` of the leaf counts L_0 .. L_{depth_bound - 1}, one row per
+    sample, row ``i`` the ``node_counts`` and ``leaf_counts`` of
+    ``sample_tally(params, depth_bound, cluster_stream(seed, i))``.
+    Generation g reads uniforms ``2 * sum_{h<g} N_h`` on whatever the depth
+    bound, so cut to ``nodes[:, :d + 1]`` and ``leaves[:, :d]`` these are
+    the tallies at depth bound ``d``.
 
     Drawing ``a`` numbers and then ``b`` reads what drawing ``a + b``
     reads, so each sample draws a block of ``k`` uniforms at once, about
@@ -299,22 +303,22 @@ def sample_tallies(
         raise ValueError(f"depth_bound must be >= 0, got {depth_bound}")
     p = params.p
     streams = SampleStreams(seed, samples)
-    final = np.empty(samples, dtype=np.int64)
+    nodes = np.ones((samples, depth_bound + 1), dtype=np.int64)
     leaves = np.empty((samples, depth_bound), dtype=np.int64)
     sizes = _block_sizes(p, depth_bound)
     # chunk buffers shared by the passes; the first pass's chunks hold the most rows
     rows = min(samples, _CHUNK_UNIFORMS // sizes[0])
     bufs = np.empty(_CHUNK_UNIFORMS), np.empty(_CHUNK_UNIFORMS, dtype=bool)
-    bufs += np.empty(2 * (_CHUNK_UNIFORMS + rows), np.int32), np.empty(rows * depth_bound, np.int64)
+    bufs += np.empty(2 * (_CHUNK_UNIFORMS + rows), np.int32), np.empty(2 * rows * depth_bound, int)
     rest, carry = np.arange(samples), None
     for start, k in zip((0,) + sizes, sizes):
         rest, carry = _tally_blocks(
-            p, depth_bound, streams, rest, start, carry, k, final, leaves, k == sizes[-1], bufs
+            p, depth_bound, streams, rest, start, carry, k, nodes, leaves, k == sizes[-1], bufs
         )
     # T(0) = -1 is no uint64, but p = 0 never resumes: its root's two uniforms fit any block
     top = np.uint64(_raw_threshold(p)) if p else None
     for i, (gen, offset, count) in zip(rest.tolist(), carry.tolist()):
-        draw, row = streams.at(i, offset).bit_generator.random_raw, []
+        draw, counts, row = streams.at(i, offset).bit_generator.random_raw, [], []
         # a cluster that dies draws no more words and counts zeros
         for g in range(gen, depth_bound):
             if 2 * count > MAX_GENERATION_UNIFORMS:
@@ -322,9 +326,10 @@ def sample_tallies(
             flags = draw(2 * count) <= top
             row.append(count - np.count_nonzero(flags.view(np.uint16)))
             count = np.count_nonzero(flags)
-        final[i] = count
+            counts.append(count)
+        nodes[i, gen + 1 :] = counts
         leaves[i, gen:] = row
-    return final, leaves
+    return nodes, leaves
 
 
 def tally(cluster: Cluster) -> GenerationTally:

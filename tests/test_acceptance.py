@@ -100,8 +100,8 @@ def test_c4_distribution_level_simulation():
     t0 = time.perf_counter()
     m = ModelParams(0.5)
     depth, samples = 8, 200_000
-    final, _ = sample_tallies(m, depth, 80808, samples)
-    hist = np.bincount(final, minlength=2**depth + 1) / samples
+    nodes, _ = sample_tallies(m, depth, 80808, samples)
+    hist = np.bincount(nodes[:, -1], minlength=2**depth + 1) / samples
     exact = oracle.node_distribution(m, depth).probs
     tv = 0.5 * float(np.abs(hist - exact).sum())
     elapsed = time.perf_counter() - t0
@@ -114,8 +114,8 @@ def test_c4_distribution_level_simulation():
 def test_c5_extinction():
     m = ModelParams(0.6)
     depth, samples = 16, 100_000
-    final, _ = sample_tallies(m, depth, 160160, samples)
-    frac = int(np.count_nonzero(final == 0)) / samples
+    nodes, _ = sample_tallies(m, depth, 160160, samples)
+    frac = int(np.count_nonzero(nodes[:, -1] == 0)) / samples
     target = analytic.pgf_iterate(m, depth, 0.0)
     se = math.sqrt(target * (1.0 - target) / samples)
     band_ok = abs(frac - target) <= 3 * se

@@ -306,11 +306,12 @@ def test_sample_too_deep_for_json_exits_one(capsys, monkeypatch):
     assert "recursion limit" in err
 
 
-@pytest.mark.parametrize("command", ["sample", "codebook", "ensemble"])
-def test_supercritical_frontier_exits_one(capsys, monkeypatch, command):
+@pytest.mark.parametrize("command", ["sample", "codebook", "ensemble", "sweep"])
+def test_supercritical_frontier_exits_one(capsys, monkeypatch, tmp_path, command):
     # the p = 0.9 frontier grows about 1.8x per generation and would pass
     # 10^9 nodes by generation 36; it is refused at the per-generation cap
-    # without asking the stream for the oversized draw
+    # without asking the stream for the oversized draw, and a sweep is
+    # refused before it builds the row of its shallow cell
     requests, raw = [], []
 
     class Recording:
@@ -332,15 +333,20 @@ def test_supercritical_frontier_exits_one(capsys, monkeypatch, command):
     monkeypatch.setattr(percolate, "cluster_stream", lambda *key: Recording(keyed(*key)))
     monkeypatch.setattr(percolate.SampleStreams, "at", lambda self, *a: Recording(at(self, *a)))
     started = time.perf_counter()
-    argv = ["--p", "0.9", "--depth", "40"] + (["--samples", "1"] if command == "ensemble" else [])
+    out_path = tmp_path / "sweep.csv"
+    argv = {
+        "ensemble": ["--p", "0.9", "--depth", "40", "--samples", "1"],
+        "sweep": ["--p", "0.9", "--depth", "4", "--depth", "40", "--samples", "1", "--out", str(out_path)],
+    }.get(command, ["--p", "0.9", "--depth", "40"])
     code, out, err = run_cli(capsys, command, *argv)
     assert time.perf_counter() - started < 10.0
     assert code == 1
     assert out == ""
     assert "MAX_GENERATION_UNIFORMS = 16777216" in err
+    assert "[sweep]" not in err and not out_path.exists()
     assert requests and max(requests) <= percolate.MAX_GENERATION_UNIFORMS
     # the ensemble's one sample outgrows its block: the resume is seen drawing, up to the cap
-    assert bool(raw) == (command == "ensemble")
+    assert bool(raw) == (command in ("ensemble", "sweep"))
     assert max(raw, default=0) <= percolate.MAX_GENERATION_UNIFORMS
 
 

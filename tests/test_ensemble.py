@@ -2,12 +2,13 @@ import contextlib
 import io
 import math
 import re
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from perccode import analytic, percolate
+from perccode import analytic, ensemble, percolate
 from perccode.analytic import DomainError, ModelParams, pgf_iterate
 from perccode.ensemble import (
     CSV_COLUMNS,
@@ -114,6 +115,26 @@ def test_csv_shape_and_empty_analytic_cells():
     second = lines[3].split(",")
     assert second[-3:] == ["", "", ""]
     assert "." in second[5]  # extinct_frac stays locale-independent
+
+
+def test_sweep_draws_each_p_once_at_its_deepest_depth(monkeypatch):
+    calls = []
+
+    def recording(params, depth, seed, samples):
+        calls.append((params.p, depth))
+        return percolate.sample_tallies(params, depth, seed, samples)
+
+    monkeypatch.setattr(ensemble, "sample_tallies", recording)
+    config = EnsembleConfig(p_values=[0.5, 0.6], depths=[9, 4, 9, 6], samples=300, seed=12)
+    rows = sweep(config, log=None)
+    assert calls == [(0.5, 9), (0.6, 9)]
+    assert [(r.p, r.depth) for r in rows] == [(p, d) for p in (0.5, 0.6) for d in (9, 4, 9, 6)]
+    # every row, repeats included, is the row of its cell run alone
+    for row in rows:
+        assert row == run_ensemble(ModelParams(row.p), row.depth, 300, 12)
+    calls.clear()
+    assert sweep(EnsembleConfig(p_values=[0.5, 0.6], depths=[], samples=300, seed=12)) == []
+    assert calls == []
 
 
 def test_header_only_csv_for_empty_grid():
@@ -264,10 +285,10 @@ def reach_every_pass(p, depth, samples, seed):
     assert any(offset % 4 == 2 for offset in offsets)
     if len(sizes) == 2:
         assert continued >= 1
-    final, leaves = percolate.sample_tallies(params, depth, seed, samples)
+    nodes, leaves = percolate.sample_tallies(params, depth, seed, samples)
     for i in range(samples):
         t = sample_tally(params, depth, cluster_stream(seed, i))
-        assert (final[i], leaves[i].tolist()) == (t.node_counts[depth], t.leaf_counts)
+        assert (nodes[i, -1], leaves[i].tolist()) == (t.node_counts[depth], t.leaf_counts)
     return sizes, needed, offsets
 
 
@@ -306,15 +327,21 @@ def test_keys_past_64_bits_are_rejected_before_any_work():
 
 def test_sweep_log_reports_time_and_rate():
     log = io.StringIO()
+    started = time.perf_counter()
     sweep(EnsembleConfig(p_values=[0.5], depths=[4, 6], samples=30, seed=1), log=log)
+    elapsed = time.perf_counter() - started
     lines = log.getvalue().splitlines()
     assert len(lines) == 2
     pattern = r"\[sweep\] p=0\.5 depth=(\d+) samples=30 done in (\S+) s \((\d+) samples/s\)"
+    booked = 0.0
     for line, depth in zip(lines, ("4", "6")):
         match = re.fullmatch(pattern, line)
         assert match is not None, line
         assert match.group(1) == depth
         assert float(match.group(2)) > 0.0 and int(match.group(3)) > 0
+        booked += float(match.group(2))
+    # the lines book disjoint stretches of the call; 3 significant digits round each up by <= 0.5%
+    assert booked <= elapsed * 1.005
 
 
 def test_sweep_logs_to_the_stderr_of_the_call():

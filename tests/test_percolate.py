@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from perccode import percolate
 from perccode.analytic import ModelParams, pgf_iterate
@@ -178,8 +178,8 @@ def test_sample_means_match_closed_forms():
     # mean N_8 ~ mu^8 = 1 and mean L_3 ~ q^2 (2p)^3 = 0.25 at p = 0.5
     m = ModelParams(0.5)
     samples = 100_000
-    final, leaves = sample_tallies(m, 8, 424242, samples)
-    n8 = final.astype(float)
+    nodes, leaves = sample_tallies(m, 8, 424242, samples)
+    n8 = nodes[:, -1].astype(float)
     l3 = leaves[:, 3].astype(float)
     se_n = n8.std(ddof=1) / math.sqrt(samples)
     se_l = l3.std(ddof=1) / math.sqrt(samples)
@@ -190,8 +190,8 @@ def test_sample_means_match_closed_forms():
 def test_death_frequency_matches_pgf_iterate():
     m = ModelParams(0.6)
     depth, samples = 12, 20000
-    final, _ = sample_tallies(m, depth, 777, samples)
-    frac = int(np.count_nonzero(final == 0)) / samples
+    nodes, _ = sample_tallies(m, depth, 777, samples)
+    frac = int(np.count_nonzero(nodes[:, -1] == 0)) / samples
     target = pgf_iterate(m, depth, 0.0)
     se = math.sqrt(target * (1 - target) / samples)
     assert abs(frac - target) <= 3 * se
@@ -350,12 +350,13 @@ def test_sample_streams_reject_out_of_range_keys():
 )
 def test_sample_tallies_match_sample_tally(p, depth, seed, samples):
     m = ModelParams(p)
-    final, leaves = sample_tallies(m, depth, seed, samples)
-    assert final.dtype == leaves.dtype == np.int64
-    assert final.shape == (samples,) and leaves.shape == (samples, depth)
+    nodes, leaves = sample_tallies(m, depth, seed, samples)
+    assert nodes.dtype == leaves.dtype == np.int64
+    assert nodes.shape == (samples, depth + 1) and leaves.shape == (samples, depth)
     for i in range(samples):
         t = sample_tally(m, depth, cluster_stream(seed, i))
-        assert (final[i], leaves[i].tolist()) == (t.node_counts[depth], t.leaf_counts)
+        assert (nodes[i, depth], leaves[i].tolist()) == (t.node_counts[depth], t.leaf_counts)
+        assert nodes[i].tolist() == t.node_counts
 
 
 @settings(max_examples=40, deadline=None)
@@ -368,10 +369,34 @@ def test_sample_tallies_match_sample_tally(p, depth, seed, samples):
 def test_sample_tallies_match_sample_tally_supercritical(seed, p, depth, samples):
     # near p = 1 and depth 14 the clusters outgrow their last block and resume
     m = ModelParams(p)
-    final, leaves = sample_tallies(m, depth, seed, samples)
+    nodes, leaves = sample_tallies(m, depth, seed, samples)
+    assert nodes.shape == (samples, depth + 1) and leaves.shape == (samples, depth)
     for i in range(samples):
         t = sample_tally(m, depth, cluster_stream(seed, i))
-        assert (final[i], leaves[i].tolist()) == (t.node_counts[depth], t.leaf_counts)
+        assert (nodes[i, depth], leaves[i].tolist()) == (t.node_counts[depth], t.leaf_counts)
+        assert nodes[i].tolist() == t.node_counts
+
+
+# some samples of (0.9, 14) at seed 2**64 - 27 resume past their last block
+# (test_reference_cells_reach_every_pass); at depth 5 all fit the first
+@example(p=0.9, depths=(5, 14), seed=2**64 - 27, samples=60)
+@example(p=0.9, depths=(0, 14), seed=2**64 - 27, samples=60)
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.one_of(st.sampled_from([0.0, 2.0**-53, 0.5, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
+    depths=st.tuples(st.integers(min_value=0, max_value=16), st.integers(min_value=0, max_value=16)),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    samples=st.integers(min_value=1, max_value=40),
+)
+def test_sample_tallies_cut_to_a_shallower_depth_are_its_tallies(p, depths, seed, samples):
+    # generation g reads the same uniforms whatever the depth bound, so the
+    # deeper tallies cut to depth d are the tallies at d
+    d, deep = sorted(depths)
+    m = ModelParams(p)
+    nodes, leaves = sample_tallies(m, deep, seed, samples)
+    shallow_nodes, shallow_leaves = sample_tallies(m, d, seed, samples)
+    assert np.array_equal(nodes[:, : d + 1], shallow_nodes)
+    assert np.array_equal(leaves[:, :d], shallow_leaves)
 
 
 # two blocks with samples at both edges; two blocks at (0.6, 16); one block
@@ -404,12 +429,13 @@ def test_lockstep_passes_key_each_stream_once_per_block(monkeypatch, p, depth, s
 
     monkeypatch.setattr(SampleStreams, "at", recording_at)
     m = ModelParams(p)
-    final, leaves = sample_tallies(m, depth, seed, samples)
+    nodes, leaves = sample_tallies(m, depth, seed, samples)
     sizes = percolate._block_sizes(p, depth)
     needed, resumes, resumed_words = [], [], []
     for i in range(samples):
         t = sample_tally(m, depth, cluster_stream(seed, i))
-        assert (final[i], leaves[i].tolist()) == (t.node_counts[depth], t.leaf_counts)
+        assert (nodes[i, depth], leaves[i].tolist()) == (t.node_counts[depth], t.leaf_counts)
+        assert nodes[i].tolist() == t.node_counts
         ends = np.cumsum([2 * n for n in t.node_counts[:depth]]).tolist() or [0]
         needed.append(ends[-1])
         past = [g for g, end in enumerate(ends) if end > sizes[-1]]

@@ -14,9 +14,10 @@ A cell is tallied in one call of :func:`~perccode.percolate.sample_tallies`
 and its leaf-count rows measured by
 :func:`~perccode.infomeasure.row_measures`, once per distinct row; every
 number is the one the per-sample path gives.  A cluster cut at generation
-``d`` is the cluster grown to bound ``d``, so :func:`sweep` draws each p
-once, at its deepest depth, and reads every shallower cell off the same
-tallies, with the reduction :func:`run_ensemble` uses.
+``d`` is the cluster grown to bound ``d``, so :func:`sweep` draws the grid
+once, at its deepest depth, through :func:`~perccode.percolate.grid_tallies`,
+and reads every shallower cell off the same tallies and measures, with the
+reduction :func:`run_ensemble` uses.
 
 Determinism: every per-sample result lands in a slot of a preallocated
 array indexed by sample, and reductions always run over the full arrays.
@@ -38,7 +39,7 @@ import numpy as np
 from . import analytic
 from .analytic import DomainError, ModelParams
 from .infomeasure import row_measures
-from .percolate import RNG_VERSION, sample_tallies
+from .percolate import RNG_VERSION, grid_tallies, sample_tallies
 
 __all__ = [
     "CSV_COLUMNS",
@@ -137,17 +138,17 @@ def run_ensemble(params: ModelParams, depth: int, samples: int, seed: int) -> En
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     nodes, leaves = sample_tallies(params, depth, seed, samples)
-    return _cell_stats(params, seed, nodes, leaves, depth)
+    return _cell_stats(params, seed, nodes, leaves, depth, row_measures(leaves, params.p))
 
 
-def _cell_stats(params: ModelParams, seed: int, nodes, leaves, depth: int) -> EnsembleStats:
-    """The row of the ``depth`` cell from ``sample_tallies`` at a depth
-    bound of ``depth`` or deeper, cut to ``depth``."""
+def _cell_stats(params, seed: int, nodes, leaves, depth: int, measured) -> EnsembleStats:
+    """The row of the ``depth`` cell from ``sample_tallies`` at a depth bound
+    of ``depth`` or deeper, cut to ``depth``, and ``row_measures`` of the cut."""
     # a C-ordered copy, as a draw at ``depth`` itself gives: NumPy's float sums follow the layout
     leaf_counts = np.ascontiguousarray(leaves[:, :depth])
     n_final = nodes[:, depth]
     samples = len(leaf_counts)
-    _, entropy, length = row_measures(leaf_counts, params.p).T
+    _, entropy, length = measured.T
     alive = n_final > 0
 
     usable = ~np.isnan(entropy)
@@ -212,20 +213,26 @@ def sweep(config: EnsembleConfig, log=_STDERR) -> list[EnsembleStats]:
     """Run every (p, depth) cell of the grid, with a line per cell to ``log``
     (``None`` for none).
 
-    Each p draws its samples once, at the deepest depth, and each cell is
-    the row ``run_ensemble`` gives it.  A cell's line books the time since
-    its p's line before, or since the p began, so a p's shared draw falls
-    on its first cell and the lines add up to the sweep's wall time."""
+    The grid is drawn once, at the deepest depth, and each p's rows measured
+    once there; each cell is the row ``run_ensemble`` gives it.  A cell's line
+    books the time since the line before, or since the sweep began, so the
+    shared draw falls on the first cell and the lines add up to the sweep's
+    wall time."""
     log = sys.stderr if log is _STDERR else log
     rows = []
     if not config.depths:
         return rows
-    for p in config.p_values:
-        params = ModelParams(p)
-        start = time.perf_counter()
-        nodes, leaves = sample_tallies(params, max(config.depths), config.seed, config.samples)
+    grid = [ModelParams(p) for p in config.p_values]
+    start = time.perf_counter()
+    tallies = grid_tallies(grid, max(config.depths), config.seed, config.samples)
+    for p, params, (nodes, leaves) in zip(config.p_values, grid, tallies):
+        deep = row_measures(leaves, params.p)
         for depth in config.depths:
-            rows.append(_cell_stats(params, config.seed, nodes, leaves, depth))
+            # zero counts add no term to a measure: only rows with a leaf past ``depth`` change
+            past = np.flatnonzero(leaves[:, depth:].any(axis=1))
+            measured = deep.copy()
+            measured[past] = row_measures(leaves[past, :depth], params.p)
+            rows.append(_cell_stats(params, config.seed, nodes, leaves, depth, measured))
             now = time.perf_counter()
             wall, start = now - start, now
             if log is not None:
@@ -235,4 +242,3 @@ def sweep(config: EnsembleConfig, log=_STDERR) -> list[EnsembleStats]:
                     file=log,
                 )
     return rows
-

@@ -35,6 +35,7 @@ __all__ = [
     "sample_cluster",
     "sample_tally",
     "sample_tallies",
+    "grid_tallies",
     "tally",
     "survived",
     "cluster_to_json",
@@ -218,63 +219,116 @@ def _block_sizes(p: float, depth: int) -> tuple[int, ...]:
     return (k,) if k == _BLOCK_CAP else (k, min(4 * k, _BLOCK_CAP))
 
 
-def _tally_blocks(p, depth, streams, rows, start, held, k, nodes, leaves, last, bufs):
-    """Tally the samples ``rows`` from their first ``k`` uniforms into
-    ``nodes[:, 1:]`` and ``leaves``, in views of ``bufs``; the pass before
-    ``held`` the first ``start`` as packed flags.  Return the rows that need more and
-    their packed flags or, when ``last``, each one's ``(gen, offset, N_gen)``:
-    generation ``gen``, the first to run past, starts ``offset`` uniforms in.
+def _tally_blocks(jobs, depth, streams, rows, start, held, bufs):
+    """Tally the samples ``rows`` for each job ``(p, k, nodes, leaves, last)`` from their
+    first ``k`` uniforms, drawn once for all, into ``nodes[:, 1:]`` and ``leaves``, in views
+    of ``bufs``; the pass before ``held`` the first ``start`` as packed flags.  Return per
+    job the rows that need more and their packed flags or, when ``last``, each one's
+    ``(gen, offset, N_gen)``: generation ``gen``, the first to run past, starts ``offset`` in.
 
     A chunk of samples is tallied one generation at a time for all of them:
     generation g of a sample reads flags s_g .. s_g + 2 N_g - 1 of its block,
     so with C[j] the open flags among the first j and D[j] the leaves among
     the first j / 2 nodes, (N_{g+1}, L_g) is (C, D) at s_g + 2 N_g less at s_g.
     """
-    stops = np.zeros((len(rows), 3), dtype=np.int64)
+    outs = [(np.zeros(len(rows), bool), np.zeros((len(rows), 3), np.int64), []) for _ in jobs]
     if len(rows) == 0:
-        return rows, stops
-    chunk = min(len(rows), _CHUNK_UNIFORMS // k)
-    shapes = (chunk, k - start), (chunk, k), (chunk, k + 1, 2), (chunk, depth, 2)
-    uniforms, flags, prefix, gen_tallies = map(np.ndarray, shapes, [b.dtype for b in bufs], bufs)
-    outgrown = np.zeros(len(rows), dtype=bool)
-    kept = []
+        return [(rows, stops) for _, stops, _ in outs]
+    top = max(k for _, k, *_ in jobs)
+    chunk = min(len(rows), _CHUNK_UNIFORMS // top)
+    uniforms = np.ndarray((chunk, top - start), buffer=bufs[0])
     for lo in range(0, len(rows), chunk):
         batch = rows[lo : lo + chunk]
         n = len(batch)
         for r, i in enumerate(batch.tolist()):
             streams.at(i, start).random(out=uniforms[r])
-        if start:
-            flags[:n, :start] = np.unpackbits(held[lo : lo + n], axis=1, count=start)
-        np.less(uniforms[:n], p, out=flags[:n, start:])
-        np.cumsum(flags[:n], axis=1, out=prefix[:n, 1:, 0])
-        # a node's two flags read as one 16-bit word are zero iff it is a leaf
-        np.cumsum(flags[:n].view(np.uint16) == 0, axis=1, out=prefix[:n, 2::2, 1])
-        base = np.arange(n) * (k + 1)
-        # (C, D) at 0 is (0, 0), never gathered: every sample reads its root's flags
-        before = 0
-        first = np.zeros(n, dtype=np.int64)
-        count = np.ones(n, dtype=np.int32)
-        overflow = outgrown[lo : lo + n]
-        stop = stops[lo : lo + n]
-        for g in range(depth):
-            end = first + 2 * count
-            past = end > k
-            # at most twice a row: where it first runs past, and on the garbage read there
-            if last and past.any():
-                new = past > overflow
-                stop[new, 0], stop[new, 1], stop[new, 2] = g, first[new], count[new]
-            overflow |= past
-            # rows past their block read garbage here, redone by a later pass or the resume
-            np.minimum(end, k, out=end)
-            at_end = prefix.reshape(-1, 2)[base + end]
-            np.subtract(at_end, before, out=gen_tallies[:n, g])
-            count = gen_tallies[:n, g, 0]
-            before, first = at_end, end
-        nodes[batch, 1:] = gen_tallies[:n, :, 0]
-        leaves[batch] = gen_tallies[:n, :, 1]
-        if not last:
-            kept.append(np.packbits(flags[:n][overflow], axis=1))
-    return rows[outgrown], stops[outgrown] if last else np.concatenate(kept)
+        for (p, k, nodes, leaves, last), (outgrown, stops, kept) in zip(jobs, outs):
+            shapes = (chunk, k), (chunk, k + 1, 2), (chunk, depth, 2)
+            flags, prefix, gen_tallies = map(np.ndarray, shapes, (bool, np.int32, int), bufs[1:])
+            if start:
+                flags[:n, :start] = np.unpackbits(held[lo : lo + n], axis=1, count=start)
+            np.less(uniforms[:n, : k - start], p, out=flags[:n, start:])
+            np.cumsum(flags[:n], axis=1, out=prefix[:n, 1:, 0])
+            # a node's two flags read as one 16-bit word are zero iff it is a leaf
+            np.cumsum(flags[:n].view(np.uint16) == 0, axis=1, out=prefix[:n, 2::2, 1])
+            base = np.arange(n) * (k + 1)
+            # (C, D) at 0 is (0, 0), never gathered: every sample reads its root's flags
+            before = 0
+            first = np.zeros(n, dtype=np.int64)
+            count = np.ones(n, dtype=np.int32)
+            overflow = outgrown[lo : lo + n]
+            stop = stops[lo : lo + n]
+            for g in range(depth):
+                end = first + 2 * count
+                past = end > k
+                # at most twice a row: where it first runs past, and on the garbage read there
+                if last and past.any():
+                    new = past > overflow
+                    stop[new, 0], stop[new, 1], stop[new, 2] = g, first[new], count[new]
+                overflow |= past
+                # rows past their block read garbage here, redone by a later pass or the resume
+                np.minimum(end, k, out=end)
+                at_end = prefix.reshape(-1, 2)[base + end]
+                np.subtract(at_end, before, out=gen_tallies[:n, g])
+                count = gen_tallies[:n, g, 0]
+                before, first = at_end, end
+            nodes[batch, 1:] = gen_tallies[:n, :, 0]
+            leaves[batch] = gen_tallies[:n, :, 1]
+            if not last:
+                kept.append(np.packbits(flags[:n][overflow], axis=1))
+    return [
+        (rows[outgrown], stops[outgrown] if last else np.concatenate(kept))
+        for (*_, last), (outgrown, stops, kept) in zip(jobs, outs)
+    ]
+
+
+def _tallies(cells, depth, streams, samples):
+    """The tallies of each ``(p, block sizes)`` of ``cells``, each sample keyed
+    and drawn once for all their first blocks."""
+    out = [(np.ones((samples, depth + 1), int), np.empty((samples, depth), int)) for _ in cells]
+    if depth == 0 or not cells:
+        return out
+    # chunk buffers shared by the passes; the smallest block (shared or a p's last) has most rows
+    smallest = min(max(s[0] for _, s in cells), *(s[-1] for _, s in cells))
+    rows = min(samples, _CHUNK_UNIFORMS // smallest)
+    bufs = np.empty(_CHUNK_UNIFORMS), np.empty(_CHUNK_UNIFORMS, dtype=bool)
+    bufs += np.empty(2 * (_CHUNK_UNIFORMS + rows), np.int32), np.empty(2 * rows * depth, int)
+    jobs = [(p, s[0], *t, len(s) == 1) for (p, s), t in zip(cells, out)]
+    passes = _tally_blocks(jobs, depth, streams, np.arange(samples), 0, None, bufs)
+    for (p, _, nodes, leaves, _), (rest, carry), (_, s) in zip(jobs, passes, cells):
+        for start, k in zip(s, s[1:]):
+            job = p, k, nodes, leaves, k == s[-1]
+            [(rest, carry)] = _tally_blocks([job], depth, streams, rest, start, carry, bufs)
+        # T(0) = -1 is no uint64, but p = 0 never resumes: its root's two uniforms fit any block
+        top = np.uint64(_raw_threshold(p)) if p else None
+        for i, (gen, offset, count) in zip(rest.tolist(), carry.tolist()):
+            draw, counts, row = streams.at(i, offset).bit_generator.random_raw, [], []
+            # a cluster that dies draws no more words and counts zeros
+            for g in range(gen, depth):
+                if 2 * count > MAX_GENERATION_UNIFORMS:
+                    raise _over_cap(g, count)
+                flags = draw(2 * count) <= top
+                row.append(count - np.count_nonzero(flags.view(np.uint16)))
+                count = np.count_nonzero(flags)
+                counts.append(count)
+            nodes[i, gen + 1 :] = counts
+            leaves[i, gen:] = row
+    return out
+
+
+def grid_tallies(grid: list[ModelParams], depth_bound: int, seed: int, samples: int):
+    """Yield ``sample_tallies(params, depth_bound, seed, samples)`` for each ``params`` of
+    ``grid`` in turn.  Sample i reads one stream at every p, so it is keyed and draws a first
+    block once for all p whose own is under 1024 uniforms: the largest, which each reads its
+    own off; their tallies are held until yielded.  Any other p draws alone, in its turn."""
+    if depth_bound < 0:
+        raise ValueError(f"depth_bound must be >= 0, got {depth_bound}")
+    streams = SampleStreams(seed, samples)
+    cells = [(params.p, _block_sizes(params.p, depth_bound)) for params in grid]
+    shared = [j for j, (_, s) in enumerate(cells) if s[0] < _BLOCK_CAP]
+    drawn = dict(zip(shared, _tallies([cells[j] for j in shared], depth_bound, streams, samples)))
+    for j, cell in enumerate(cells):
+        yield drawn.pop(j) if j in drawn else _tallies([cell], depth_bound, streams, samples)[0]
 
 
 def sample_tallies(
@@ -287,7 +341,7 @@ def sample_tallies(
     ``sample_tally(params, depth_bound, cluster_stream(seed, i))``.
     Generation g reads uniforms ``2 * sum_{h<g} N_h`` on whatever the depth
     bound, so cut to ``nodes[:, :d + 1]`` and ``leaves[:, :d]`` these are
-    the tallies at depth bound ``d``.
+    the tallies at depth bound ``d``.  Depth bound 0 draws nothing.
 
     Drawing ``a`` numbers and then ``b`` reads what drawing ``a + b``
     reads, so each sample draws a block of ``k`` uniforms at once, about
@@ -297,39 +351,9 @@ def sample_tallies(
     block of ``min(4k, 1024)``.  A cluster that outgrows its last block
     resumes at the first generation that ran past it: its stream is re-keyed
     at that generation's offset and counted from there a generation at a time,
-    no ``Cluster`` built, in raw words: ``w <= _raw_threshold(p)`` iff open.
+    no ``Cluster`` built, in raw words.
     """
-    if depth_bound < 0:
-        raise ValueError(f"depth_bound must be >= 0, got {depth_bound}")
-    p = params.p
-    streams = SampleStreams(seed, samples)
-    nodes = np.ones((samples, depth_bound + 1), dtype=np.int64)
-    leaves = np.empty((samples, depth_bound), dtype=np.int64)
-    sizes = _block_sizes(p, depth_bound)
-    # chunk buffers shared by the passes; the first pass's chunks hold the most rows
-    rows = min(samples, _CHUNK_UNIFORMS // sizes[0])
-    bufs = np.empty(_CHUNK_UNIFORMS), np.empty(_CHUNK_UNIFORMS, dtype=bool)
-    bufs += np.empty(2 * (_CHUNK_UNIFORMS + rows), np.int32), np.empty(2 * rows * depth_bound, int)
-    rest, carry = np.arange(samples), None
-    for start, k in zip((0,) + sizes, sizes):
-        rest, carry = _tally_blocks(
-            p, depth_bound, streams, rest, start, carry, k, nodes, leaves, k == sizes[-1], bufs
-        )
-    # T(0) = -1 is no uint64, but p = 0 never resumes: its root's two uniforms fit any block
-    top = np.uint64(_raw_threshold(p)) if p else None
-    for i, (gen, offset, count) in zip(rest.tolist(), carry.tolist()):
-        draw, counts, row = streams.at(i, offset).bit_generator.random_raw, [], []
-        # a cluster that dies draws no more words and counts zeros
-        for g in range(gen, depth_bound):
-            if 2 * count > MAX_GENERATION_UNIFORMS:
-                raise _over_cap(g, count)
-            flags = draw(2 * count) <= top
-            row.append(count - np.count_nonzero(flags.view(np.uint16)))
-            count = np.count_nonzero(flags)
-            counts.append(count)
-        nodes[i, gen + 1 :] = counts
-        leaves[i, gen:] = row
-    return nodes, leaves
+    return next(grid_tallies([params], depth_bound, seed, samples))
 
 
 def tally(cluster: Cluster) -> GenerationTally:

@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from perccode import analytic, ensemble, percolate
+from perccode import analytic, percolate
 from perccode.analytic import DomainError, ModelParams, pgf_iterate
 from perccode.ensemble import (
     CSV_COLUMNS,
@@ -19,7 +19,7 @@ from perccode.ensemble import (
     sweep,
 )
 from perccode.infomeasure import measures
-from perccode.percolate import cluster_stream, sample_tally
+from perccode.percolate import SampleStreams, cluster_stream, sample_tally
 
 from conftest import sweep_on_threads
 
@@ -118,22 +118,27 @@ def test_csv_shape_and_empty_analytic_cells():
 
 
 def test_sweep_draws_each_p_once_at_its_deepest_depth(monkeypatch):
+    # every keying of a stream during the sweep; p = 0.5 and 0.6 at depth 9
+    # share their first block, so each sample is keyed at position 0 once
     calls = []
+    at = SampleStreams.at
 
-    def recording(params, depth, seed, samples):
-        calls.append((params.p, depth))
-        return percolate.sample_tallies(params, depth, seed, samples)
+    def recording_at(self, index, position=0):
+        calls.append((index, position))
+        return at(self, index, position)
 
-    monkeypatch.setattr(ensemble, "sample_tallies", recording)
+    monkeypatch.setattr(SampleStreams, "at", recording_at)
     config = EnsembleConfig(p_values=[0.5, 0.6], depths=[9, 4, 9, 6], samples=300, seed=12)
     rows = sweep(config, log=None)
-    assert calls == [(0.5, 9), (0.6, 9)]
+    assert sorted(i for i, position in calls if position == 0) == list(range(300))
     assert [(r.p, r.depth) for r in rows] == [(p, d) for p in (0.5, 0.6) for d in (9, 4, 9, 6)]
     # every row, repeats included, is the row of its cell run alone
     for row in rows:
         assert row == run_ensemble(ModelParams(row.p), row.depth, 300, 12)
     calls.clear()
     assert sweep(EnsembleConfig(p_values=[0.5, 0.6], depths=[], samples=300, seed=12)) == []
+    assert calls == []
+    assert sweep(EnsembleConfig(p_values=[], depths=[9, 4], samples=300, seed=12)) == []
     assert calls == []
 
 

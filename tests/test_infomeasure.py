@@ -217,6 +217,35 @@ def test_row_measures_are_measures_bit_for_bit(p, leaves):
     assert same_bits(row_measures(leaves, p), by_measures(leaves, p))
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    p=st.one_of(
+        st.sampled_from([0.0, 5e-324, 2.0**-53, 0.5, 1 - 2.0**-53, 1.0]),
+        st.floats(min_value=0.0, max_value=1.0),
+    ),
+    leaves=leaf_rows(),
+    data=st.data(),
+)
+@example(p=0.5, leaves=np.array([[1, 0, 2], [0, 0, 0], [0, 3, 0]], dtype=np.int64), data=None)
+def test_row_measures_of_rows_cut_where_no_leaf_lies_past_are_the_deep_ones(p, leaves, data):
+    # zero counts add no term to Lambda, the length numerator or the entropy,
+    # so a row with no leaf past d measures the same cut to d, NaN included;
+    # a sweep re-measures only the other rows, as a subset
+    depth = leaves.shape[1]
+    if data is None:
+        d, zeroed = 1, np.array([True, True, False])
+    else:
+        d = data.draw(st.integers(min_value=0, max_value=depth))
+        zeroed = np.array(data.draw(st.lists(st.booleans(), min_size=len(leaves), max_size=len(leaves))))
+    leaves[zeroed, d:] = 0
+    deep, cut = row_measures(leaves, p), row_measures(leaves[:, :d], p)
+    assert deep[zeroed].tobytes() == cut[zeroed].tobytes()
+    past = np.flatnonzero(leaves[:, d:].any(axis=1))
+    measured = deep.copy()
+    measured[past] = row_measures(leaves[past, :d], p)
+    assert measured.tobytes() == cut.tobytes()
+
+
 def test_row_measures_refuses_counts_whose_length_terms_overflow():
     largest = np.iinfo(np.int64).max // 4
     assert not np.isnan(row_measures(np.array([[0, 0, 0, 0, largest]]), 0.5)).any()

@@ -15,6 +15,7 @@ from perccode.percolate import (
     cluster_stream,
     cluster_to_dot,
     cluster_to_json,
+    grid_tallies,
     sample_cluster,
     sample_tallies,
     sample_tally,
@@ -397,6 +398,47 @@ def test_sample_tallies_cut_to_a_shallower_depth_are_its_tallies(p, depths, seed
     shallow_nodes, shallow_leaves = sample_tallies(m, d, seed, samples)
     assert np.array_equal(nodes[:, : d + 1], shallow_nodes)
     assert np.array_equal(leaves[:, :d], shallow_leaves)
+
+
+def test_depth_zero_tallies_draw_nothing(monkeypatch):
+    # depth 0 reads no generation, so no stream is keyed
+    calls = []
+    at = SampleStreams.at
+    monkeypatch.setattr(SampleStreams, "at", lambda self, *a: calls.append(a) or at(self, *a))
+    m = ModelParams(0.6)
+    nodes, leaves = sample_tallies(m, 0, 3, 1000)
+    assert calls == []
+    assert nodes.shape == (1000, 1) and leaves.shape == (1000, 0)
+    for i in range(0, 1000, 97):
+        t = sample_tally(m, 0, cluster_stream(3, i))
+        assert (nodes[i].tolist(), leaves[i].tolist()) == (t.node_counts, t.leaf_counts)
+    assert list(grid_tallies([], 8, 3, 1000)) == []
+    assert calls == []
+
+
+_EDGE_PS = [0.0, 5e-324, 2.0**-53, 0.45, 0.6, 1 - 2.0**-53, 1.0]
+
+
+# p = 0.6 at depth 16 has a first block of 352 uniforms, so the shared pass
+# takes 186 samples a chunk; p = 1 draws alone in chunks of 64
+@example(ps=[0.6, 0.45, 0.6, 1.0, 0.0], depth=16, seed=2**64 - 1, samples=187)
+@example(ps=[1.0, 0.9, 1.0], depth=9, seed=0, samples=65)
+@settings(max_examples=40, deadline=None)
+@given(
+    ps=st.lists(st.one_of(st.sampled_from(_EDGE_PS), st.floats(min_value=0.0, max_value=1.0)), max_size=5),
+    depth=st.integers(min_value=1, max_value=16),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    samples=st.one_of(st.sampled_from([63, 64, 65, 186, 187]), st.integers(min_value=1, max_value=200)),
+)
+def test_grid_tallies_are_each_p_drawn_alone(ps, depth, seed, samples):
+    # each p of a grid, repeated or not, sharing a first block or drawing
+    # alone at the 1024 cap, gets the tallies it gets by itself
+    grid = [ModelParams(p) for p in ps]
+    got = list(grid_tallies(grid, depth, seed, samples))
+    assert len(got) == len(grid)
+    for m, (nodes, leaves) in zip(grid, got):
+        alone_nodes, alone_leaves = sample_tallies(m, depth, seed, samples)
+        assert np.array_equal(nodes, alone_nodes) and np.array_equal(leaves, alone_leaves)
 
 
 # two blocks with samples at both edges; two blocks at (0.6, 16); one block

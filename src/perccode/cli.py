@@ -133,10 +133,7 @@ def _cmd_codebook(args: argparse.Namespace) -> int:
 
 def _cmd_ensemble(args: argparse.Namespace) -> int:
     stats = ensemble.run_ensemble(ModelParams(args.p), args.depth, args.samples, args.seed)
-    doc = dict(vars(stats))
-    for key in ("mean_leaf_counts", "se_leaf_counts"):
-        doc[key] = doc.pop(key)
-    _emit(json.dumps(doc, indent=2) + "\n", args.out)
+    _emit(json.dumps(vars(stats), indent=2) + "\n", args.out)
     return 0
 
 

@@ -10,14 +10,13 @@ Clusters without leaves have no defined entropy/length; they are excluded
 from those two averages and counted in ``skipped_leafless``.  Standard
 errors are sample standard deviation / sqrt(count used).
 
-A cell is tallied in one call of :func:`~perccode.percolate.sample_tallies`
-and its leaf-count rows measured by
-:func:`~perccode.infomeasure.row_measures`, once per distinct row; every
-number is the one the per-sample path gives.  A cluster cut at generation
-``d`` is the cluster grown to bound ``d``, so :func:`sweep` draws the grid
-once, at its deepest depth, through :func:`~perccode.percolate.grid_tallies`,
-and reads every shallower cell off the same tallies and measures, with the
-reduction :func:`run_ensemble` uses.
+Every cell is a row of :func:`sweep`, and :func:`run_ensemble` is the sweep
+of one cell.  A sweep draws its grid once, at its deepest depth, through
+:func:`~perccode.percolate.grid_tallies`, and measures each p's leaf-count
+rows by :func:`~perccode.infomeasure.row_measures`, once per distinct row;
+every number is the one the per-sample path gives.  A cluster cut at
+generation ``d`` is the cluster grown to bound ``d``, so every shallower
+cell is read off the same tallies and measures.
 
 Determinism: every per-sample result lands in a slot of a preallocated
 array indexed by sample, and reductions always run over the full arrays.
@@ -39,7 +38,7 @@ import numpy as np
 from . import analytic
 from .analytic import DomainError, ModelParams
 from .infomeasure import row_measures
-from .percolate import RNG_VERSION, grid_tallies, sample_tallies
+from .percolate import RNG_VERSION, grid_tallies
 
 __all__ = [
     "CSV_COLUMNS",
@@ -113,11 +112,11 @@ class EnsembleStats:
     se_H_bits: float
     mean_L: float
     se_L: float
+    analytic_H_bits: float | None
+    analytic_L: float | None
+    analytic_lambda: float | None
     mean_leaf_counts: list[float] = field(repr=False)
     se_leaf_counts: list[float] = field(repr=False)
-    analytic_H_bits: float | None = None
-    analytic_L: float | None = None
-    analytic_lambda: float | None = None
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
@@ -132,37 +131,29 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
 
 def run_ensemble(params: ModelParams, depth: int, samples: int, seed: int) -> EnsembleStats:
     """Estimate one (p, depth) cell from ``samples`` independent clusters;
-    ``seed`` and every sample index must lie in [0, 2**64)."""
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
-    nodes, leaves = sample_tallies(params, depth, seed, samples)
-    return _cell_stats(params, seed, nodes, leaves, depth, row_measures(leaves, params.p))
+    ``seed`` and every sample index must lie in [0, 2**64).  It is the
+    one-cell :func:`sweep`, run without a log."""
+    return sweep(EnsembleConfig([params.p], [depth], samples, seed), log=None)[0]
 
 
 def _cell_stats(params, seed: int, nodes, leaves, depth: int, measured) -> EnsembleStats:
-    """The row of the ``depth`` cell from ``sample_tallies`` at a depth bound
-    of ``depth`` or deeper, cut to ``depth``, and ``row_measures`` of the cut."""
-    # a C-ordered copy, as a draw at ``depth`` itself gives: NumPy's float sums follow the layout
-    leaf_counts = np.ascontiguousarray(leaves[:, :depth])
+    """The row of the ``depth`` cell from one p's tallies at a depth bound of
+    ``depth`` or deeper, cut to ``depth``, and ``row_measures`` of the cut."""
+    # each generation one contiguous row, which NumPy sums in the pairwise order it
+    # gives that generation's column alone (integer means are exact in any order)
+    columns = np.ascontiguousarray(leaves[:, :depth].T)
     n_final = nodes[:, depth]
-    samples = len(leaf_counts)
+    samples = len(n_final)
     _, entropy, length = measured.T
-    alive = n_final > 0
 
     usable = ~np.isnan(entropy)
     used = int(np.count_nonzero(usable))
     mean_n, se_n = _mean_se(n_final.astype(float))
     mean_h, se_h = _mean_se(entropy[usable])
     mean_l, se_l = _mean_se(length[usable])
-    leaf_mean = [float(x) for x in leaf_counts.mean(axis=0)]
     leaf_se = [0.0] * depth
     if samples > 1:
-        # each generation as one contiguous row, which NumPy sums in the
-        # pairwise order it gives that generation's column alone
-        leaf_sd = np.ascontiguousarray(leaf_counts.T).std(axis=1, ddof=1)
-        leaf_se = (leaf_sd / math.sqrt(samples)).tolist()
+        leaf_se = (columns.std(axis=1, ddof=1) / math.sqrt(samples)).tolist()
 
     try:
         a_h = analytic.expected_entropy(params)
@@ -178,18 +169,18 @@ def _cell_stats(params, seed: int, nodes, leaves, depth: int, measured) -> Ensem
         seed=seed,
         used=used,
         skipped_leafless=samples - used,
-        extinct_frac=float(np.count_nonzero(~alive)) / samples,
+        extinct_frac=float(np.count_nonzero(n_final == 0)) / samples,
         mean_N_final=mean_n,
         se_N_final=se_n,
         mean_H_bits=mean_h,
         se_H_bits=se_h,
         mean_L=mean_l,
         se_L=se_l,
-        mean_leaf_counts=leaf_mean,
-        se_leaf_counts=leaf_se,
         analytic_H_bits=a_h,
         analytic_L=a_l,
         analytic_lambda=a_lam,
+        mean_leaf_counts=columns.mean(axis=1).tolist(),
+        se_leaf_counts=leaf_se,
     )
 
 
@@ -214,7 +205,7 @@ def sweep(config: EnsembleConfig, log=_STDERR) -> list[EnsembleStats]:
     (``None`` for none).
 
     The grid is drawn once, at the deepest depth, and each p's rows measured
-    once there; each cell is the row ``run_ensemble`` gives it.  A cell's line
+    once there; a cell's row is the same in any grid.  A cell's line
     books the time since the line before, or since the sweep began, so the
     shared draw falls on the first cell and the lines add up to the sweep's
     wall time."""
@@ -230,8 +221,10 @@ def sweep(config: EnsembleConfig, log=_STDERR) -> list[EnsembleStats]:
         for depth in config.depths:
             # zero counts add no term to a measure: only rows with a leaf past ``depth`` change
             past = np.flatnonzero(leaves[:, depth:].any(axis=1))
-            measured = deep.copy()
-            measured[past] = row_measures(leaves[past, :depth], params.p)
+            measured = deep
+            if len(past):
+                measured = deep.copy()
+                measured[past] = row_measures(leaves[past, :depth], params.p)
             rows.append(_cell_stats(params, config.seed, nodes, leaves, depth, measured))
             now = time.perf_counter()
             wall, start = now - start, now

@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from perccode import analytic, percolate
+from perccode import analytic, cli, percolate
 from perccode.analytic import DomainError, ModelParams, pgf_iterate
 from perccode.ensemble import (
     CSV_COLUMNS,
@@ -358,3 +358,15 @@ def test_sweep_logs_to_the_stderr_of_the_call():
     with contextlib.redirect_stderr(io.StringIO()) as log:
         sweep(config, log=None)
     assert log.getvalue() == ""
+
+
+def test_one_cell_path_logs_no_sweep_line(capsys):
+    # run_ensemble is a sweep of one cell, run without the sweep's log
+    run_ensemble(ModelParams(0.5), 4, 10, seed=1)
+    assert capsys.readouterr() == ("", "")
+    argv = ["ensemble", "--p", "0.5", "--depth", "4", "--samples", "10", "--seed", "1"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().err == (
+        f"[perccode ensemble] rng={percolate.RNG_VERSION} command=ensemble"
+        " depth=4 out=None p=0.5 samples=10 seed=1\n"
+    )

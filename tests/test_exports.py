@@ -58,3 +58,13 @@ def test_oracle_imports_nothing_from_the_sampler():
         for module, name in imports
         if module == "perccode.percolate" or (module, name) == ("perccode", "percolate")
     ] == []
+
+
+def test_ensemble_draws_only_through_grid_tallies():
+    # every cell, one alone included, is a row of sweep: one draw path from the sampler
+    imports = _package_imports(Path(perccode.__file__).parent / "ensemble.py")
+    assert sorted(name for module, name in imports if module == "perccode.percolate") == [
+        "RNG_VERSION",
+        "grid_tallies",
+    ]
+    assert ("perccode", "percolate") not in imports

@@ -1,11 +1,14 @@
 """Regression gate on the CLI's output formats.
 
 Each file under ``tests/data/golden`` holds the stdout of one command
-below, written by the pointer-tree implementation that level-order
-clusters replaced.  Cluster JSON, code-book text and sweep CSV must stay
-byte-identical.  DOT output is compared as a set of lines: a graph's
-statements may come in any order, and a level-order walk emits them in a
-different one than the depth-first walk that wrote the files.
+below.  The cluster, code-book and sweep files were written by the
+pointer-tree implementation that level-order clusters replaced; the
+``ensemble`` files by the version whose ``run_ensemble`` still tallied its
+cell apart from ``sweep``.  Cluster JSON, code-book text, sweep CSV and
+ensemble JSON must stay byte-identical.  DOT output is compared as a set
+of lines: a graph's statements may come in any order, and a level-order
+walk emits them in a different one than the depth-first walk that wrote
+the files.
 """
 
 from pathlib import Path
@@ -54,6 +57,16 @@ CASES = {
         "--p", "1", "--depth", "1", "--depth", "12", "--depth", "16",
         "--samples", "300", "--seed", "2021",
     ],
+    # one cell's JSON: its key order, leaf means and leaf SEs; rows that resume
+    # past their last block; a single sample, where every SE is 0.0
+    "ensemble-p0.6-d12-n500-s3.json": [
+        "ensemble", "--p", "0.6", "--depth", "12", "--samples", "500", "--seed", "3",
+    ],
+    "ensemble-p0.9-d14-n60-smax.json": [
+        "ensemble", "--p", "0.9", "--depth", "14", "--samples", "60",
+        "--seed", "18446744073709551615",
+    ],
+    "ensemble-p0-d3-n1.json": ["ensemble", "--p", "0", "--depth", "3", "--samples", "1"],
 }
 
 

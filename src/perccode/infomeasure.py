@@ -84,6 +84,8 @@ def row_measures(leaves: np.ndarray, p: float) -> np.ndarray:
     """
     p = _checked_p(p)
     leaves = np.ascontiguousarray(leaves, dtype=np.int64)
+    if len(leaves) == 0:
+        return np.empty((0, 3))
     if leaves.shape[1] == 0:
         # leafless, as a zero column says too, which unlike a 0-byte row has a key
         leaves = np.zeros((len(leaves), 1), dtype=np.int64)

@@ -223,17 +223,20 @@ def _tally_blocks(jobs, depth, streams, rows, start, held, bufs):
     """Tally the samples ``rows`` for each job ``(p, k, nodes, leaves, last)`` from their
     first ``k`` uniforms, drawn once for all, into ``nodes[:, 1:]`` and ``leaves``, in views
     of ``bufs``; the pass before ``held`` the first ``start`` as packed flags.  Return per
-    job the rows that need more and their packed flags or, when ``last``, each one's
-    ``(gen, offset, N_gen)``: generation ``gen``, the first to run past, starts ``offset`` in.
+    job the rows that ran past their block and their packed flags or, when ``last``, each
+    one's ``(gen, offset, N_gen)``: generation ``gen``, the first to run past, starts ``offset`` in.
 
     A chunk of samples is tallied one generation at a time for all of them:
     generation g of a sample reads flags s_g .. s_g + 2 N_g - 1 of its block,
     so with C[j] the open flags among the first j and D[j] the leaves among
     the first j / 2 nodes, (N_{g+1}, L_g) is (C, D) at s_g + 2 N_g less at s_g.
+    A row's counts are exact up to the first generation whose batch ends past
+    the block, 2 (N_0 + .. + N_gen) > k, so each chunk reads off its own counts
+    which rows ran past and where; gen >= 1, as the root's two flags fit any block.
     """
-    outs = [(np.zeros(len(rows), bool), np.zeros((len(rows), 3), np.int64), []) for _ in jobs]
     if len(rows) == 0:
-        return [(rows, stops) for _, stops, _ in outs]
+        return [(rows, np.empty((0, 3), int))] * len(jobs)
+    outs = [([], []) for _ in jobs]
     top = max(k for _, k, *_ in jobs)
     chunk = min(len(rows), _CHUNK_UNIFORMS // top)
     uniforms = np.ndarray((chunk, top - start), buffer=bufs[0])
@@ -242,7 +245,7 @@ def _tally_blocks(jobs, depth, streams, rows, start, held, bufs):
         n = len(batch)
         for r, i in enumerate(batch.tolist()):
             streams.at(i, start).random(out=uniforms[r])
-        for (p, k, nodes, leaves, last), (outgrown, stops, kept) in zip(jobs, outs):
+        for (p, k, nodes, leaves, last), (outgrown, carry) in zip(jobs, outs):
             shapes = (chunk, k), (chunk, k + 1, 2), (chunk, depth, 2)
             flags, prefix, gen_tallies = map(np.ndarray, shapes, (bool, np.int32, int), bufs[1:])
             if start:
@@ -253,33 +256,25 @@ def _tally_blocks(jobs, depth, streams, rows, start, held, bufs):
             np.cumsum(flags[:n].view(np.uint16) == 0, axis=1, out=prefix[:n, 2::2, 1])
             base = np.arange(n) * (k + 1)
             # (C, D) at 0 is (0, 0), never gathered: every sample reads its root's flags
-            before = 0
-            first = np.zeros(n, dtype=np.int64)
-            count = np.ones(n, dtype=np.int32)
-            overflow = outgrown[lo : lo + n]
-            stop = stops[lo : lo + n]
+            before, first, count = 0, np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int32)
             for g in range(depth):
-                end = first + 2 * count
-                past = end > k
-                # at most twice a row: where it first runs past, and on the garbage read there
-                if last and past.any():
-                    new = past > overflow
-                    stop[new, 0], stop[new, 1], stop[new, 2] = g, first[new], count[new]
-                overflow |= past
                 # rows past their block read garbage here, redone by a later pass or the resume
-                np.minimum(end, k, out=end)
+                end = np.minimum(first + 2 * count, k)
                 at_end = prefix.reshape(-1, 2)[base + end]
                 np.subtract(at_end, before, out=gen_tallies[:n, g])
                 count = gen_tallies[:n, g, 0]
                 before, first = at_end, end
             nodes[batch, 1:] = gen_tallies[:n, :, 0]
             leaves[batch] = gen_tallies[:n, :, 1]
-            if not last:
-                kept.append(np.packbits(flags[:n][overflow], axis=1))
-    return [
-        (rows[outgrown], stops[outgrown] if last else np.concatenate(kept))
-        for (*_, last), (outgrown, stops, kept) in zip(jobs, outs)
-    ]
+            ends = 2 * np.cumsum(nodes[batch, :depth], axis=1)
+            past = ends[:, -1] > k
+            outgrown.append(batch[past])
+            if last:
+                gen = np.argmax(ends[past] > k, axis=1)
+                carry.append(np.stack([gen, ends[past, gen - 1], nodes[batch[past], gen]], axis=1))
+            else:
+                carry.append(np.packbits(flags[:n][past], axis=1))
+    return [(np.concatenate(outgrown), np.concatenate(carry)) for outgrown, carry in outs]
 
 
 def _tallies(cells, depth, streams, samples):
@@ -349,9 +344,9 @@ def sample_tallies(
     the per-generation batches back to back.  While ``k < 1024``, samples
     that outgrow it keep its flags and continue at counter ``k`` into a
     block of ``min(4k, 1024)``.  A cluster that outgrows its last block
-    resumes at the first generation that ran past it: its stream is re-keyed
-    at that generation's offset and counted from there a generation at a time,
-    no ``Cluster`` built, in raw words.
+    resumes at the first generation g that ran past it, read off its own
+    counts as the first with ``2 * (N_0 + ... + N_g) > k``: its stream is re-keyed
+    at that generation's offset and counted from there, no ``Cluster`` built, in raw words.
     """
     return next(grid_tallies([params], depth_bound, seed, samples))
 

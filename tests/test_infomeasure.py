@@ -246,6 +246,14 @@ def test_row_measures_of_rows_cut_where_no_leaf_lies_past_are_the_deep_ones(p, l
     assert measured.tobytes() == cut.tobytes()
 
 
+@pytest.mark.parametrize("depth", [0, 1, 18])
+def test_row_measures_of_no_rows(depth):
+    got = row_measures(np.zeros((0, depth), dtype=np.int64), 0.7)
+    assert got.shape == (0, 3) and got.dtype == np.float64
+    with pytest.raises(ValueError):
+        row_measures(np.zeros((0, depth), dtype=np.int64), 1.5)
+
+
 def test_row_measures_refuses_counts_whose_length_terms_overflow():
     largest = np.iinfo(np.int64).max // 4
     assert not np.isnan(row_measures(np.array([[0, 0, 0, 0, largest]]), 0.5)).any()

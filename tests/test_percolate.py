@@ -441,10 +441,11 @@ def test_grid_tallies_are_each_p_drawn_alone(ps, depth, seed, samples):
         assert np.array_equal(nodes, alone_nodes) and np.array_equal(leaves, alone_leaves)
 
 
-# two blocks with samples at both edges; two blocks at (0.6, 16); one block
+# two blocks with samples at both edges; two blocks with sample 177 reading
+# exactly its last block of 80; two blocks at (0.6, 16); one block
 @pytest.mark.parametrize(
     "p, depth, seed, samples",
-    [(0.4, 30, 18, 200), (0.6, 16, 7, 300), (0.9, 14, 2**64 - 27, 60)],
+    [(0.4, 30, 18, 200), (0.4, 30, 2, 200), (0.6, 16, 7, 300), (0.9, 14, 2**64 - 27, 60)],
 )
 def test_lockstep_passes_key_each_stream_once_per_block(monkeypatch, p, depth, seed, samples):
     # every keying of a stream during sample_tallies, with the uniforms then drawn
@@ -499,6 +500,13 @@ def test_lockstep_passes_key_each_stream_once_per_block(monkeypatch, p, depth, s
     # and draws exactly the words of generations g .. depth - 1, two per node
     assert [call[2] for call in rest] == resumed_words
     assert sorted(i for i, position, _ in calls if position == 0) == list(range(samples))
+
+
+def test_lockstep_last_block_edge_cell_has_a_sample_reading_exactly_its_last_block():
+    # the (0.4, 30, 2, 200) cell above: a `>= k` slip would resume sample 177
+    m, depth = ModelParams(0.4), 30
+    t = sample_tally(m, depth, cluster_stream(2, 177))
+    assert 2 * sum(t.node_counts[:depth]) == percolate._block_sizes(0.4, depth)[-1] == 80
 
 
 @settings(max_examples=300, deadline=None)

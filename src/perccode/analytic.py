@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 __all__ = [
     "DomainError",
+    "unit_interval",
     "ModelParams",
     "MomentPair",
     "LeafMoments",
@@ -42,6 +43,14 @@ class DomainError(ValueError):
     """A closed form was evaluated outside its convergence domain."""
 
 
+def unit_interval(name: str, value: float) -> float:
+    """``float(value)``, refused unless it lies in [0, 1]."""
+    value = float(value)
+    if not 0.0 <= value <= 1.0:
+        raise DomainError(f"{name} must lie in [0, 1], got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Percolation density ``p`` and every constant derived from it.
@@ -61,9 +70,7 @@ class ModelParams:
     u1: float = field(init=False)
 
     def __post_init__(self):
-        p = float(self.p)
-        if not 0.0 <= p <= 1.0:
-            raise DomainError(f"percolation density must lie in [0, 1], got {p!r}")
+        p = unit_interval("p", self.p)
         q = 1.0 - p
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
@@ -108,22 +115,16 @@ class LeafMoments:
     var_u1_squared: float
 
 
-def _check_unit_interval(name: str, value: float) -> float:
-    if not 0.0 <= value <= 1.0:
-        raise DomainError(f"{name} must lie in [0, 1], got {value!r}")
-    return float(value)
-
-
 def pgf_eval(params: ModelParams, xi: float) -> float:
     """Offspring generating function f(xi) = (p*xi + q)^2 = sum p_k xi^k."""
-    xi = _check_unit_interval("xi", xi)
+    xi = unit_interval("xi", xi)
     v = params.p * xi + params.q
     return v * v
 
 
 def leaf_pgf_eval(params: ModelParams, zeta: float) -> float:
     """Leaf-indicator generating function g(zeta) = u1*zeta + u0."""
-    zeta = _check_unit_interval("zeta", zeta)
+    zeta = unit_interval("zeta", zeta)
     return params.u1 * zeta + params.u0
 
 
@@ -135,7 +136,7 @@ def pgf_iterate(params: ModelParams, n: int, xi0: float) -> float:
     """
     if n < 0:
         raise DomainError(f"generation count must be >= 0, got {n}")
-    xi = _check_unit_interval("xi0", xi0)
+    xi = unit_interval("xi0", xi0)
     for _ in range(n):
         v = params.p * xi + params.q
         xi = v * v

@@ -13,6 +13,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 
+from .analytic import unit_interval
 from .percolate import Cluster
 
 __all__ = [
@@ -138,8 +139,7 @@ def decode(book: CodeBook, bits: str) -> list[int]:
 
 def bernoulli_weights(book: CodeBook, p: float) -> list[float]:
     """Normalized leaf weights p^len / sum(p^len) for the book's codewords."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p!r}")
+    p = unit_interval("p", p)
     raw = [p ** len(w) for w in book.words]
     total = sum(raw)
     if total <= 0.0:

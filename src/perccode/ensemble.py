@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analytic
-from .analytic import DomainError, ModelParams
+from .analytic import DomainError, ModelParams, unit_interval
 from .infomeasure import row_measures
 from .percolate import RNG_VERSION, grid_tallies
 
@@ -82,8 +82,7 @@ class EnsembleConfig:
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
         for p in self.p_values:
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"p must lie in [0, 1], got {p!r}")
+            unit_interval("p", p)
         for d in self.depths:
             if d < 1:
                 raise ValueError(f"depth must be >= 1, got {d}")

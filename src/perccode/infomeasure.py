@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analytic import unit_interval
 from .percolate import GenerationTally
 
 __all__ = ["ConfigMeasures", "measures", "row_measures"]
@@ -37,12 +38,6 @@ class ConfigMeasures:
     leaf_total: int
 
 
-def _checked_p(p: float) -> float:
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p!r}")
-    return float(p)
-
-
 def measures(t: GenerationTally, p: float) -> ConfigMeasures:
     """Lambda, entropy and average codeword length of one cluster at once.
 
@@ -50,7 +45,7 @@ def measures(t: GenerationTally, p: float) -> ConfigMeasures:
     the average length is sum_n n * L_n * p^n / Lambda.  Entropy and
     length are None when Lambda = 0.
     """
-    p = _checked_p(p)
+    p = unit_interval("p", p)
     terms = [(n, count, p**n) for n, count in enumerate(t.leaf_counts) if count]
     lam = math.fsum([count * w for _, count, w in terms])
     entropy = length = None
@@ -82,7 +77,7 @@ def row_measures(leaves: np.ndarray, p: float) -> np.ndarray:
     Python; log2 and the powers stay the math module's and Python's, which
     NumPy's differ from in the last bit for a few inputs in a thousand.
     """
-    p = _checked_p(p)
+    p = unit_interval("p", p)
     leaves = np.ascontiguousarray(leaves, dtype=np.int64)
     if len(leaves) == 0:
         return np.empty((0, 3))

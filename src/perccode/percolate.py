@@ -277,13 +277,19 @@ def _tally_blocks(jobs, depth, streams, rows, start, held, bufs):
     return [(np.concatenate(outgrown), np.concatenate(carry)) for outgrown, carry in outs]
 
 
-def _tallies(cells, depth, streams, samples):
-    """The tallies of each ``(p, block sizes)`` of ``cells``, each sample keyed
-    and drawn once for all their first blocks."""
+def grid_tallies(grid: list[ModelParams], depth_bound: int, seed: int, samples: int):
+    """``sample_tallies(params, depth_bound, seed, samples)`` of each ``params`` of ``grid``,
+    in a list.  Sample i reads one stream at every p, so it is keyed and draws a first block
+    once for all of them: the largest, which each p reads its own off.  Each p then continues
+    and resumes its outgrown samples on its own; every p's tallies are held at once."""
+    if depth_bound < 0:
+        raise ValueError(f"depth_bound must be >= 0, got {depth_bound}")
+    depth, streams = depth_bound, SampleStreams(seed, samples)
+    cells = [(params.p, _block_sizes(params.p, depth)) for params in grid]
     out = [(np.ones((samples, depth + 1), int), np.empty((samples, depth), int)) for _ in cells]
     if depth == 0 or not cells:
         return out
-    # chunk buffers shared by the passes; the smallest block (shared or a p's last) has most rows
+    # chunk buffers for all passes, sized by the smallest block (shared first or a continuation)
     smallest = min(max(s[0] for _, s in cells), *(s[-1] for _, s in cells))
     rows = min(samples, _CHUNK_UNIFORMS // smallest)
     bufs = np.empty(_CHUNK_UNIFORMS), np.empty(_CHUNK_UNIFORMS, dtype=bool)
@@ -311,21 +317,6 @@ def _tallies(cells, depth, streams, samples):
     return out
 
 
-def grid_tallies(grid: list[ModelParams], depth_bound: int, seed: int, samples: int):
-    """Yield ``sample_tallies(params, depth_bound, seed, samples)`` for each ``params`` of
-    ``grid`` in turn.  Sample i reads one stream at every p, so it is keyed and draws a first
-    block once for all p whose own is under 1024 uniforms: the largest, which each reads its
-    own off; their tallies are held until yielded.  Any other p draws alone, in its turn."""
-    if depth_bound < 0:
-        raise ValueError(f"depth_bound must be >= 0, got {depth_bound}")
-    streams = SampleStreams(seed, samples)
-    cells = [(params.p, _block_sizes(params.p, depth_bound)) for params in grid]
-    shared = [j for j, (_, s) in enumerate(cells) if s[0] < _BLOCK_CAP]
-    drawn = dict(zip(shared, _tallies([cells[j] for j in shared], depth_bound, streams, samples)))
-    for j, cell in enumerate(cells):
-        yield drawn.pop(j) if j in drawn else _tallies([cell], depth_bound, streams, samples)[0]
-
-
 def sample_tallies(
     params: ModelParams, depth_bound: int, seed: int, samples: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -336,7 +327,8 @@ def sample_tallies(
     ``sample_tally(params, depth_bound, cluster_stream(seed, i))``.
     Generation g reads uniforms ``2 * sum_{h<g} N_h`` on whatever the depth
     bound, so cut to ``nodes[:, :d + 1]`` and ``leaves[:, :d]`` these are
-    the tallies at depth bound ``d``.  Depth bound 0 draws nothing.
+    the tallies at depth bound ``d``.  Depth bound 0 draws nothing.  This is
+    :func:`grid_tallies` of the one-p grid ``[params]``.
 
     Drawing ``a`` numbers and then ``b`` reads what drawing ``a + b``
     reads, so each sample draws a block of ``k`` uniforms at once, about
@@ -348,7 +340,7 @@ def sample_tallies(
     counts as the first with ``2 * (N_0 + ... + N_g) > k``: its stream is re-keyed
     at that generation's offset and counted from there, no ``Cluster`` built, in raw words.
     """
-    return next(grid_tallies([params], depth_bound, seed, samples))
+    return grid_tallies([params], depth_bound, seed, samples)[0]
 
 
 def tally(cluster: Cluster) -> GenerationTally:

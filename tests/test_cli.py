@@ -350,6 +350,18 @@ def test_supercritical_frontier_exits_one(capsys, monkeypatch, tmp_path, command
     assert max(raw, default=0) <= percolate.MAX_GENERATION_UNIFORMS
 
 
+def test_sweep_refuses_a_grid_before_logging_any_cell(capsys, monkeypatch):
+    # p = 0.9 outgrows a cap of 64 uniforms a generation by depth 14; the whole
+    # grid is drawn before any cell is measured, so p = 0.5 logs no line first
+    monkeypatch.setattr(percolate, "MAX_GENERATION_UNIFORMS", 64)
+    argv = ["sweep", "--p", "0.5", "--p", "0.9", "--depth", "14", "--samples", "50", "--seed", "1"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "MAX_GENERATION_UNIFORMS = 64" in err
+    assert "[sweep]" not in err
+
+
 def test_decode_against_book_file(capsys, seven_leaf_paths):
     _, book_path = seven_leaf_paths
     code, out, _ = run_cli(

@@ -118,8 +118,9 @@ def test_csv_shape_and_empty_analytic_cells():
 
 
 def test_sweep_draws_each_p_once_at_its_deepest_depth(monkeypatch):
-    # every keying of a stream during the sweep; p = 0.5 and 0.6 at depth 9
-    # share their first block, so each sample is keyed at position 0 once
+    # every keying of a stream during the sweep; p = 0.5, 0.6 and 1 at depth 9
+    # share their first block, the 1024 cap of p = 1, so each sample is keyed
+    # at position 0 once
     calls = []
     at = SampleStreams.at
 
@@ -128,10 +129,10 @@ def test_sweep_draws_each_p_once_at_its_deepest_depth(monkeypatch):
         return at(self, index, position)
 
     monkeypatch.setattr(SampleStreams, "at", recording_at)
-    config = EnsembleConfig(p_values=[0.5, 0.6], depths=[9, 4, 9, 6], samples=300, seed=12)
+    config = EnsembleConfig(p_values=[0.5, 0.6, 1.0], depths=[9, 4, 9, 6], samples=300, seed=12)
     rows = sweep(config, log=None)
     assert sorted(i for i, position in calls if position == 0) == list(range(300))
-    assert [(r.p, r.depth) for r in rows] == [(p, d) for p in (0.5, 0.6) for d in (9, 4, 9, 6)]
+    assert [(r.p, r.depth) for r in rows] == [(p, d) for p in (0.5, 0.6, 1.0) for d in (9, 4, 9, 6)]
     # every row, repeats included, is the row of its cell run alone
     for row in rows:
         assert row == run_ensemble(ModelParams(row.p), row.depth, 300, 12)

@@ -412,15 +412,16 @@ def test_depth_zero_tallies_draw_nothing(monkeypatch):
     for i in range(0, 1000, 97):
         t = sample_tally(m, 0, cluster_stream(3, i))
         assert (nodes[i].tolist(), leaves[i].tolist()) == (t.node_counts, t.leaf_counts)
-    assert list(grid_tallies([], 8, 3, 1000)) == []
+    assert grid_tallies([], 8, 3, 1000) == []
     assert calls == []
 
 
 _EDGE_PS = [0.0, 5e-324, 2.0**-53, 0.45, 0.6, 1 - 2.0**-53, 1.0]
 
 
-# p = 0.6 at depth 16 has a first block of 352 uniforms, so the shared pass
-# takes 186 samples a chunk; p = 1 draws alone in chunks of 64
+# p = 0.6 at depth 16 has a first block of 352 uniforms, 186 samples a chunk
+# when drawn alone; p = 1's first block is the 1024 cap, so the first pass
+# they share takes 64 a chunk
 @example(ps=[0.6, 0.45, 0.6, 1.0, 0.0], depth=16, seed=2**64 - 1, samples=187)
 @example(ps=[1.0, 0.9, 1.0], depth=9, seed=0, samples=65)
 @settings(max_examples=40, deadline=None)
@@ -431,10 +432,10 @@ _EDGE_PS = [0.0, 5e-324, 2.0**-53, 0.45, 0.6, 1 - 2.0**-53, 1.0]
     samples=st.one_of(st.sampled_from([63, 64, 65, 186, 187]), st.integers(min_value=1, max_value=200)),
 )
 def test_grid_tallies_are_each_p_drawn_alone(ps, depth, seed, samples):
-    # each p of a grid, repeated or not, sharing a first block or drawing
-    # alone at the 1024 cap, gets the tallies it gets by itself
+    # each p of a grid, repeated or not, whatever the shared first block,
+    # gets the tallies it gets by itself
     grid = [ModelParams(p) for p in ps]
-    got = list(grid_tallies(grid, depth, seed, samples))
+    got = grid_tallies(grid, depth, seed, samples)
     assert len(got) == len(grid)
     for m, (nodes, leaves) in zip(grid, got):
         alone_nodes, alone_leaves = sample_tallies(m, depth, seed, samples)

@@ -13,7 +13,8 @@ errors are sample standard deviation / sqrt(count used).
 Every cell is a row of :func:`sweep`, and :func:`run_ensemble` is the sweep
 of one cell.  A sweep draws its grid once, at its deepest depth, through
 :func:`~perccode.percolate.grid_tallies`, and measures each p's leaf-count
-rows by :func:`~perccode.infomeasure.row_measures`, once per distinct row;
+rows by :func:`~perccode.infomeasure.row_measures`, once per distinct row,
+with certified column sums and an fsum fallback, every cut in one pass;
 every number is the one the per-sample path gives.  A cluster cut at
 generation ``d`` is the cluster grown to bound ``d``, so every shallower
 cell is read off the same tallies and measures.
@@ -204,10 +205,10 @@ def sweep(config: EnsembleConfig, log=_STDERR) -> list[EnsembleStats]:
     (``None`` for none).
 
     The grid is drawn once, at the deepest depth, and each p's rows measured
-    once there; a cell's row is the same in any grid.  A cell's line
-    books the time since the line before, or since the sweep began, so the
-    shared draw falls on the first cell and the lines add up to the sweep's
-    wall time."""
+    at every depth in one pass; a cell's row is the same in any grid.  A
+    cell's line books the time since the line before, or since the sweep
+    began, so the shared draw falls on the first cell and the lines add up to
+    the sweep's wall time."""
     log = sys.stderr if log is _STDERR else log
     rows = []
     if not config.depths:
@@ -216,14 +217,7 @@ def sweep(config: EnsembleConfig, log=_STDERR) -> list[EnsembleStats]:
     start = time.perf_counter()
     tallies = grid_tallies(grid, max(config.depths), config.seed, config.samples)
     for p, params, (nodes, leaves) in zip(config.p_values, grid, tallies):
-        deep = row_measures(leaves, params.p)
-        for depth in config.depths:
-            # zero counts add no term to a measure: only rows with a leaf past ``depth`` change
-            past = np.flatnonzero(leaves[:, depth:].any(axis=1))
-            measured = deep
-            if len(past):
-                measured = deep.copy()
-                measured[past] = row_measures(leaves[past, :depth], params.p)
+        for depth, measured in zip(config.depths, row_measures(leaves, params.p, config.depths)):
             rows.append(_cell_stats(params, config.seed, nodes, leaves, depth, measured))
             now = time.perf_counter()
             wall, start = now - start, now

@@ -205,9 +205,10 @@ def exact_enumeration(params: ModelParams, depth: int) -> ExactStats:
     edges of the truncated tree.  Its per-generation node and leaf counts
     come from its edge bits alone, with no cluster built and no call to the
     sampler's ``tally``; the leaf-count rows go through
-    :func:`~perccode.infomeasure.row_measures`, which measures each distinct
-    row once (10 at depth 3).  The counts do not depend on p, so they are
-    worked out once per depth and kept.  All sums run over the 2^E
+    :func:`~perccode.infomeasure.row_measures` at the one cut ``[depth]``,
+    which measures each distinct row once (10 at depth 3), with certified
+    column sums and an fsum fallback.  The counts do not depend on p, so
+    they are worked out once per depth and kept.  All sums run over the 2^E
     configurations in order.
     """
     if depth < 0:
@@ -223,7 +224,8 @@ def exact_enumeration(params: ModelParams, depth: int) -> ExactStats:
     # distinct leaf-count rows, spread back to one per configuration
     leaves = leaf_rows.astype(float)[inverse]
     # entropy and length are NaN together, where Lambda = 0
-    lams, entropies, lengths = row_measures(leaf_rows, p)[inverse].T
+    (measured,) = row_measures(leaf_rows, p, [depth])
+    lams, entropies, lengths = measured[inverse].T
     # bincount adds the weights in mask order, one configuration at a time
     node_hist = [
         np.bincount(node_rows[:, g], weights=weights, minlength=2**g + 1)

@@ -362,6 +362,27 @@ def test_sweep_refuses_a_grid_before_logging_any_cell(capsys, monkeypatch):
     assert "[sweep]" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--p", "0.5", "--depth", "3", "--samples", "5"],
+        ["ensemble", "--depth", "3", "--samples", "5"],
+    ],
+)
+def test_out_in_a_missing_directory_exits_one_before_any_work(capsys, monkeypatch, tmp_path, argv):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew samples for an output it cannot write")
+
+    monkeypatch.setattr("perccode.ensemble.grid_tallies", no_draw)
+    path = tmp_path / "missing" / "cells.csv"
+    code, out, err = run_cli(capsys, *argv, "--out", str(path))
+    assert code == 1
+    assert out == ""
+    assert f"--out {path}: no directory" in err
+    assert "[sweep]" not in err
+    assert not path.parent.exists()
+
+
 def test_decode_against_book_file(capsys, seven_leaf_paths):
     _, book_path = seven_leaf_paths
     code, out, _ = run_cli(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from perccode.analytic import ModelParams
-from perccode.infomeasure import _KEYED_ROWS, measures, row_measures
+from perccode.infomeasure import _KEYED_ROWS, _certified_sums, measures, row_measures
 from perccode.percolate import (
     GenerationTally,
     cluster_stream,
@@ -147,11 +147,17 @@ def by_measures(leaves: np.ndarray, p: float) -> np.ndarray:
     ).reshape(len(leaves), 3)
 
 
+def at_own_depth(leaves: np.ndarray, p: float) -> np.ndarray:
+    """``row_measures`` of the whole matrix, cut at its own depth alone."""
+    (got,) = row_measures(leaves, p, [leaves.shape[1]])
+    return got
+
+
 @pytest.mark.parametrize("depth", [1, 16])
 @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 0.7, 1.0])
 def test_row_measures_equal_measures_row_by_row(p, depth):
     _, leaves = sample_tallies(ModelParams(p), depth, 5, 400)
-    got = row_measures(leaves, p)
+    got = at_own_depth(leaves, p)
     assert got.shape == (400, 3)
     # ==, with NaN exactly where measures gives None
     assert np.array_equal(got, by_measures(leaves, p), equal_nan=True)
@@ -159,7 +165,7 @@ def test_row_measures_equal_measures_row_by_row(p, depth):
 
 def test_row_measures_of_depth_zero_rows():
     # no generation lies above a depth-0 bound, so no row has a leaf
-    got = row_measures(np.zeros((3, 0), dtype=np.int64), 0.5)
+    got = at_own_depth(np.zeros((3, 0), dtype=np.int64), 0.5)
     assert np.array_equal(got, [[0.0, math.nan, math.nan]] * 3, equal_nan=True)
 
 
@@ -168,7 +174,7 @@ def test_row_measures_across_key_chunks():
     _, sampled = sample_tallies(ModelParams(0.6), 10, 9, 300)
     order = np.random.default_rng(4).integers(0, len(sampled), 2 * _KEYED_ROWS + 7)
     leaves = sampled[order]
-    got = row_measures(leaves, 0.6)
+    got = at_own_depth(leaves, 0.6)
     assert got.shape == (len(leaves), 3)
     assert np.array_equal(got, by_measures(leaves, 0.6), equal_nan=True)
 
@@ -178,7 +184,7 @@ def test_row_measures_across_key_chunks_of_distinct_rows():
     rng = np.random.default_rng(4)
     sampled = rng.integers(0, 60, (2 * _KEYED_ROWS + 7, 10)) * (rng.random((1, 10)) < 0.8)
     leaves = sampled[rng.integers(0, len(sampled), 2 * _KEYED_ROWS + 7)]
-    got = row_measures(leaves, 0.6)
+    got = at_own_depth(leaves, 0.6)
     assert got.shape == (len(leaves), 3)
     assert np.array_equal(got, by_measures(leaves, 0.6), equal_nan=True)
 
@@ -194,7 +200,7 @@ def leaf_rows(draw):
     # rows drawn from a small pool, so that some repeat, with zero counts
     # common and now and then a count past 2**53, which rounds as a float,
     # up to the largest whose n * L_n fits in int64
-    depth = draw(st.integers(min_value=1, max_value=12))
+    depth = draw(st.integers(min_value=1, max_value=40))
     largest = np.iinfo(np.int64).max // max(depth - 1, 1)
     count = st.one_of(st.just(0), st.integers(0, 40), st.integers(0, largest), st.just(largest))
     pool = draw(st.lists(st.lists(count, min_size=depth, max_size=depth), min_size=1, max_size=6))
@@ -214,7 +220,7 @@ def leaf_rows(draw):
 # p^1 / Lambda underflows to 0: that leaf adds nothing to the entropy
 @example(p=5e-324, leaves=np.array([[2, 1], [0, 1]], dtype=np.int64))
 def test_row_measures_are_measures_bit_for_bit(p, leaves):
-    assert same_bits(row_measures(leaves, p), by_measures(leaves, p))
+    assert same_bits(at_own_depth(leaves, p), by_measures(leaves, p))
 
 
 @settings(max_examples=100, deadline=None)
@@ -228,39 +234,71 @@ def test_row_measures_are_measures_bit_for_bit(p, leaves):
 )
 @example(p=0.5, leaves=np.array([[1, 0, 2], [0, 0, 0], [0, 3, 0]], dtype=np.int64), data=None)
 def test_row_measures_of_rows_cut_where_no_leaf_lies_past_are_the_deep_ones(p, leaves, data):
-    # zero counts add no term to Lambda, the length numerator or the entropy,
-    # so a row with no leaf past d measures the same cut to d, NaN included;
-    # a sweep re-measures only the other rows, as a subset
+    # every cut of one call, in order and with repeats, is row_measures of the
+    # matrix cut to that depth alone, NaN included; zero counts add no term to
+    # Lambda, the length numerator or the entropy, so a row with no leaf past
+    # the first cut measures there as it does uncut
     depth = leaves.shape[1]
     if data is None:
-        d, zeroed = 1, np.array([True, True, False])
+        depths, zeroed = [1, 3, 0, 1], np.array([True, True, False])
     else:
-        d = data.draw(st.integers(min_value=0, max_value=depth))
+        depths = data.draw(st.lists(st.integers(min_value=0, max_value=depth), min_size=1, max_size=4))
         zeroed = np.array(data.draw(st.lists(st.booleans(), min_size=len(leaves), max_size=len(leaves))))
-    leaves[zeroed, d:] = 0
-    deep, cut = row_measures(leaves, p), row_measures(leaves[:, :d], p)
-    assert deep[zeroed].tobytes() == cut[zeroed].tobytes()
-    past = np.flatnonzero(leaves[:, d:].any(axis=1))
-    measured = deep.copy()
-    measured[past] = row_measures(leaves[past, :d], p)
-    assert measured.tobytes() == cut.tobytes()
+    leaves[zeroed, depths[0] :] = 0
+    cuts = list(row_measures(leaves, p, depths))
+    assert len(cuts) == len(depths)
+    for d, cut in zip(depths, cuts):
+        assert cut.tobytes() == at_own_depth(leaves[:, :d], p).tobytes()
+    assert at_own_depth(leaves, p)[zeroed].tobytes() == cuts[0][zeroed].tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p=st.one_of(
+        st.sampled_from([0.0, 5e-324, 2.0**-53, 2.0**-27, 0.25, 0.5, 0.75, 1 - 2.0**-53, 1.0]),
+        st.floats(min_value=0.0, max_value=1.0),
+    ),
+    leaves=leaf_rows(),
+)
+# Lambda's terms 2**53, 1 and 2**-53: the running sum stays 2**53 and its
+# errors 1 + 2**-53 round to 1 in e, so s + e is a tie that rounds down, where
+# the sum rounds up to 2**53 + 2; only the fallback gets it
+@example(p=2.0**-27, leaves=np.array([[2**53, 2**27, 2]], dtype=np.int64))
+# sums that are powers of two: 1 + 2 * 0.5 = 2, 2**53 + 0.5 rounds down to
+# 2**53, whose gap below is half the one above, and the tie 2**53 + 1 rounds
+# to the even 2**53
+@example(p=0.5, leaves=np.array([[1, 2], [2**53, 1], [2**53, 2]], dtype=np.int64))
+# 1 + (1 - 2**-53) = 2 - 2**-53 ties between 2 and the float below it
+@example(p=1 - 2.0**-53, leaves=np.array([[1, 1]], dtype=np.int64))
+# 0.1 + 0.01 + 0.001 added in turn is 0.11100000000000002, not 0.111
+@example(p=0.1, leaves=np.array([[0, 1, 1, 1]], dtype=np.int64))
+@example(p=5e-324, leaves=np.array([[0, 3], [1, 3]], dtype=np.int64))
+def test_certified_sums_are_fsum_bit_for_bit(p, leaves):
+    # Lambda's terms L_n p^n and the length numerator's n L_n p^n, as row_measures
+    # sums them, at every cut from 0 to the depth
+    depth = leaves.shape[1]
+    weights = np.array([p**n for n in range(depth)])[:, None]
+    terms = np.concatenate([leaves.T * weights, leaves.T * np.arange(depth)[:, None] * weights], axis=1)
+    cuts = list(range(depth + 1))
+    want = [[math.fsum(column[:d]) for column in terms.T.tolist()] for d in cuts]
+    assert _certified_sums(terms, cuts).tobytes() == np.array(want).reshape(len(cuts), -1).tobytes()
 
 
 @pytest.mark.parametrize("depth", [0, 1, 18])
 def test_row_measures_of_no_rows(depth):
-    got = row_measures(np.zeros((0, depth), dtype=np.int64), 0.7)
+    got = at_own_depth(np.zeros((0, depth), dtype=np.int64), 0.7)
     assert got.shape == (0, 3) and got.dtype == np.float64
     with pytest.raises(ValueError):
-        row_measures(np.zeros((0, depth), dtype=np.int64), 1.5)
+        at_own_depth(np.zeros((0, depth), dtype=np.int64), 1.5)
 
 
 def test_row_measures_refuses_counts_whose_length_terms_overflow():
     largest = np.iinfo(np.int64).max // 4
-    assert not np.isnan(row_measures(np.array([[0, 0, 0, 0, largest]]), 0.5)).any()
+    assert not np.isnan(at_own_depth(np.array([[0, 0, 0, 0, largest]]), 0.5)).any()
     with pytest.raises(ValueError, match="overflows"):
-        row_measures(np.array([[0, 0, 0, 0, largest + 1]]), 0.5)
+        at_own_depth(np.array([[0, 0, 0, 0, largest + 1]]), 0.5)
 
 
 def test_row_measures_rejects_bad_p():
     with pytest.raises(ValueError):
-        row_measures(np.ones((2, 3), dtype=np.int64), 1.5)
+        at_own_depth(np.ones((2, 3), dtype=np.int64), 1.5)

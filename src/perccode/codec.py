@@ -174,11 +174,10 @@ def parse_codebook(text: str) -> CodeBook:
     """Read the text form back (the optional weight column is ignored)."""
     words = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
+        fields = line.split(None, 1)
+        if not fields or fields[0].startswith("#"):
             continue
-        word = line.split()[0]
-        if set(word) - {"0", "1"}:
-            raise ValueError(f"line {lineno}: codeword {word!r} is not a 0/1 string")
-        words.append(word)
+        if fields[0].strip("01"):
+            raise ValueError(f"line {lineno}: codeword {fields[0]!r} is not a 0/1 string")
+        words.append(fields[0])
     return CodeBook(words=tuple(sorted(words)))

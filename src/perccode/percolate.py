@@ -367,27 +367,31 @@ def survived(t: GenerationTally) -> bool:
 
 
 def cluster_to_json(cluster: Cluster) -> dict:
-    """JSON-serializable cluster dump: depth bound plus the recursive
-    ``{gen, left?, right?}`` node structure (absent child => absent key)."""
-    root = {"gen": 0}
-    level = [root]
-    for gen, flags in enumerate(cluster.opens, start=1):
-        flags = flags.tolist()
-        children = []
-        for node, left, right in zip(level, flags[0::2], flags[1::2]):
-            for side, is_open in (("left", left), ("right", right)):
-                if is_open:
-                    node[side] = child = {"gen": gen}
-                    children.append(child)
-        level = children
-    return {"depth_bound": cluster.depth_bound, "root": root}
+    """JSON-serializable cluster dump: depth bound plus the nested
+    ``{gen, left?, right?}`` node structure (absent child => absent key).
+
+    Built bottom-up with no recursion: a node's two flags, read as one
+    ``"<u2"`` word (0 leaf, 1 left, 256 right, 257 both), pick its dict, made
+    whole in one literal that takes its children, in order, off the level below."""
+    opens = cluster.opens
+    level = [{"gen": len(opens)} for _ in range(np.count_nonzero(opens[-1]) if opens else 1)]
+    for gen in reversed(range(len(opens))):
+        nxt = iter(level).__next__
+        level = [
+            {"gen": gen} if k == 0
+            else {"gen": gen, "left": nxt()} if k == 1
+            else {"gen": gen, "right": nxt()} if k == 256
+            else {"gen": gen, "left": nxt(), "right": nxt()}
+            for k in opens[gen].view("<u2").tolist()
+        ]
+    return {"depth_bound": cluster.depth_bound, "root": level[0]}
 
 
 def cluster_from_json(doc: dict) -> Cluster:
-    """Parse and validate a cluster dump produced by ``cluster_to_json``."""
+    """Parse and validate a cluster dump produced by ``cluster_to_json``, in
+    one pass per level: each node is checked, then its flags and children kept."""
     try:
-        depth_bound = doc["depth_bound"]
-        root = doc["root"]
+        depth_bound, root = doc["depth_bound"], doc["root"]
     except (KeyError, TypeError) as exc:
         raise ValueError("cluster document needs 'depth_bound' and 'root'") from exc
     # bool is an int subclass; floats and strings are never coerced
@@ -397,24 +401,26 @@ def cluster_from_json(doc: dict) -> Cluster:
     level = [root]
     while level:
         gen = len(opens)
+        flags, below = [], []
         for node in level:
             if not isinstance(node, dict):
-                raise ValueError(
-                    f"cluster node must be an object, got {type(node).__name__}"
-                )
+                raise ValueError(f"cluster node must be an object, got {type(node).__name__}")
             declared = node.get("gen", gen)
             # as for depth_bound: 0.0, true or "1" is not the integer it resembles
             if type(declared) is not int or declared != gen:
                 raise ValueError(f"node declares generation {declared!r} but sits at {gen}")
-        flags = [side in node for node in level for side in ("left", "right")]
+            flags.append(left := "left" in node)
+            flags.append(right := "right" in node)
+            if left:
+                below.append(node["left"])
+            if right:
+                below.append(node["right"])
         if gen == depth_bound:
-            if any(flags):
-                raise ValueError(
-                    f"cluster node at generation {gen + 1} exceeds depth bound {depth_bound}"
-                )
+            if below:
+                raise ValueError(f"cluster node at generation {gen + 1} exceeds depth bound {gen}")
             break
         opens.append(np.array(flags, dtype=bool))
-        level = [node[side] for node in level for side in ("left", "right") if side in node]
+        level = below
     return Cluster(depth_bound=depth_bound, opens=opens)
 
 

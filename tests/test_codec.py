@@ -262,6 +262,21 @@ def test_parse_codebook_round_trip(seven_leaf_book):
         parse_codebook("01\n02\n")
 
 
+def test_parse_codebook_skips_comments_and_reads_any_whitespace():
+    text = "   # a comment after leading spaces\r\n1\t0.25\r\n\r\n  01  0.5 extra\r\n#00\n00\n"
+    assert parse_codebook(text).words == ("00", "01", "1")
+
+
+@pytest.mark.parametrize(
+    "text, lineno, word",
+    [("01\n02\n", 2, "02"), ("# c\n\n  0#1 0.5\n", 3, "0#1"), ("1\r\n0x\t1.0\r\n", 2, "0x")],
+)
+def test_parse_codebook_names_the_line_of_a_bad_codeword(text, lineno, word):
+    with pytest.raises(ValueError) as info:
+        parse_codebook(text)
+    assert str(info.value) == f"line {lineno}: codeword {word!r} is not a 0/1 string"
+
+
 def test_bernoulli_weights_guards(seven_leaf_book):
     with pytest.raises(ValueError):
         bernoulli_weights(seven_leaf_book, 1.5)

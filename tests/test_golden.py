@@ -79,3 +79,28 @@ def test_cli_output_matches_golden(capsys, name):
         assert sorted(out.splitlines()) == sorted(want.splitlines())
     else:
         assert out == want
+
+
+def _codebook_run(capsys, argv):
+    code = cli.main(argv)
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("weights", [[], ["--weights", "--p", "0.7"]], ids=["words", "weights"])
+def test_codebook_of_a_golden_cluster_document_matches_the_golden_book(capsys, weights):
+    document = str(GOLDEN / "sample-p0.7-d9-s11-i3.json")
+    golden = GOLDEN / f"codebook-p0.7-d9-s11-i3{'-weights' if weights else ''}.txt"
+    run = _codebook_run(capsys, ["codebook", "--cluster", document, *weights])
+    assert run == (0, golden.read_bytes().decode("ascii"))
+
+
+# the p = 0 and p = 1 books have no text form, so both runs exit 1 alike
+@pytest.mark.parametrize("weights", [[], ["--weights"]], ids=["words", "weights"])
+@pytest.mark.parametrize(
+    "name", ["sample-p0.5-d8-s7.json", "sample-p0-d4.json", "sample-p1-d2.json"]
+)
+def test_codebook_of_a_golden_cluster_document_is_the_sampled_book(capsys, name, weights):
+    sampled = ["codebook", *CASES[name][1:], *weights]
+    p = CASES[name][CASES[name].index("--p") + 1]
+    loaded = ["codebook", "--cluster", str(GOLDEN / name), "--p", p, *weights]
+    assert _codebook_run(capsys, loaded) == _codebook_run(capsys, sampled)

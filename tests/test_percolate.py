@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -42,6 +43,33 @@ def reference_tally(p, depth, stream):
         node_counts[g + 1] = int(np.count_nonzero(left) + np.count_nonzero(right))
     return node_counts, leaf_counts
 
+
+
+def reference_cluster_json(cluster):
+    """The top-down writer ``cluster_to_json`` replaced: each level's dicts
+    made first, then each child hung on its parent's ``left``/``right``."""
+    root = {"gen": 0}
+    level = [root]
+    for gen, flags in enumerate(cluster.opens, start=1):
+        flags = flags.tolist()
+        children = []
+        for node, left, right in zip(level, flags[0::2], flags[1::2]):
+            for side, is_open in (("left", left), ("right", right)):
+                if is_open:
+                    node[side] = child = {"gen": gen}
+                    children.append(child)
+        level = children
+    return {"depth_bound": cluster.depth_bound, "root": root}
+
+
+def node_records(doc):
+    """Each node's keys, in order, and its gen, breadth-first and without
+    recursion: documents with equal records dump to the same bytes."""
+    records, level = [doc["depth_bound"]], [doc["root"]]
+    while level:
+        records += [(list(node), node["gen"]) for node in level]
+        level = [node[side] for node in level for side in ("left", "right") if side in node]
+    return records
 
 def test_p_zero_gives_root_only():
     c = sample_cluster(ModelParams(0.0), 6, cluster_stream(1, 0))
@@ -218,6 +246,33 @@ def test_json_round_trip_keeps_opens(seed, p, depth):
     assert [f.tolist() for f in again.opens] == [f.tolist() for f in c.opens]
 
 
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    p=st.sampled_from([0.0, 0.4, 0.6, 0.8, 1.0]),
+    depth=st.integers(min_value=0, max_value=12),
+)
+def test_json_dump_is_the_top_down_writers_bytes(seed, p, depth):
+    c = sample_cluster(ModelParams(p), depth, cluster_stream(seed, 0))
+    assert json.dumps(cluster_to_json(c)) == json.dumps(reference_cluster_json(c))
+
+
+@pytest.mark.parametrize(
+    "cluster",
+    [
+        Cluster(0, []),
+        Cluster(3, [np.array([True, True]), np.array([False, False, False, False])]),
+        Cluster(
+            7,
+            [np.array([g % 2 == 0, g % 2 == 1]) for g in range(6)] + [np.array([False, False])],
+        ),
+    ],
+    ids=["root-only", "dead-after-generation-1", "alternating-chain"],
+)
+def test_json_dump_of_hand_clusters_is_the_top_down_writers_bytes(cluster):
+    assert json.dumps(cluster_to_json(cluster)) == json.dumps(reference_cluster_json(cluster))
+
 def test_deep_chain_walks_without_recursion():
     # far deeper than the interpreter's recursion limit
     depth = 5000
@@ -227,6 +282,7 @@ def test_deep_chain_walks_without_recursion():
     assert t.node_counts == [1] * depth + [0]
     assert t.leaf_counts == [0] * (depth - 1) + [1]
     doc = cluster_to_json(chain)
+    assert node_records(doc) == node_records(reference_cluster_json(chain))
     again = cluster_from_json(doc)
     assert tally(again) == t
     assert cluster_to_dot(again).count("->") == depth - 1
@@ -266,6 +322,42 @@ def test_json_rejects_non_integer_gen(root_gen, child_gen):
     with pytest.raises(ValueError, match="generation"):
         cluster_from_json(doc)
 
+
+
+# the message, and so the node it names, is pinned for each malformed document
+@pytest.mark.parametrize(
+    "depth_bound, root, message",
+    [
+        (2, [1], "cluster node must be an object, got list"),
+        (3, {"gen": 0, "left": None}, "cluster node must be an object, got NoneType"),
+        (3, {"left": {"gen": 1}, "right": {"gen": 2}}, "node declares generation 2 but sits at 1"),
+        (3, {"left": {}, "right": {"gen": 2}}, "node declares generation 2 but sits at 1"),
+        (3, {"gen": 0, "right": {"gen": True}}, "node declares generation True but sits at 1"),
+        (0, {"gen": 0, "right": {"gen": 1}}, "cluster node at generation 1 exceeds depth bound 0"),
+        (
+            2,
+            {"gen": 0, "left": {"gen": 1, "right": {"gen": 2, "left": {"gen": 3}}}},
+            "cluster node at generation 3 exceeds depth bound 2",
+        ),
+        # a level's nodes are checked before a child past the bound is refused ...
+        (
+            2,
+            {"left": {"left": {"left": {"gen": 3}}, "right": {"gen": 7}}},
+            "node declares generation 7 but sits at 2",
+        ),
+        # ... and a child past the bound is refused without being checked
+        (1, {"left": {"left": 5}}, "cluster node at generation 2 exceeds depth bound 1"),
+    ],
+)
+def test_json_reader_errors(depth_bound, root, message):
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        cluster_from_json({"depth_bound": depth_bound, "root": root})
+
+
+def test_json_reader_accepts_nodes_without_gen_or_with_extra_keys():
+    doc = {"depth_bound": 2, "root": {"left": {"x": 1, "gen": 1}, "extra": [1], "right": {}}}
+    again = cluster_from_json(doc)
+    assert [f.tolist() for f in again.opens] == [[True, True], [False] * 4]
 
 def test_dot_output(seven_leaf_cluster):
     dot = cluster_to_dot(seven_leaf_cluster)

@@ -37,9 +37,7 @@ from .codec import (
 from .ensemble import EnsembleConfig, EnsembleStats, run_ensemble, sweep
 from .infomeasure import ConfigMeasures, measures
 from .oracle import (
-    DistVector,
     ExactStats,
-    JointDist,
     SizeError,
     exact_enumeration,
     joint_leaf_distribution,

@@ -169,7 +169,11 @@ def node_moments(params: ModelParams, n: int) -> MomentPair:
     if params.p == 0.5:
         variance = n / 2.0
     else:
-        variance = params.q * mean * ((mean - 1.0) / (mu - 1.0))
+        # mean - 1 cancels where mean = mu^n is near 1, and expm1(n ln mu) does not;
+        # farther out the rounding of n ln mu grows with it, and mean - 1 loses nothing
+        x = n * math.log(mu) if mu > 0.0 else -math.inf
+        rise = math.expm1(x) if abs(x) < 1.0 else mean - 1.0
+        variance = params.q * mean * (rise / (mu - 1.0))
     return MomentPair(mean=mean, variance=variance)
 
 

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import unit_interval
-from .percolate import GenerationTally
 
 __all__ = ["ConfigMeasures", "measures", "row_measures"]
 
@@ -40,8 +39,9 @@ class ConfigMeasures:
     leaf_total: int
 
 
-def measures(t: GenerationTally, p: float) -> ConfigMeasures:
-    """Lambda, entropy and average codeword length of one cluster at once.
+def measures(t, p: float) -> ConfigMeasures:
+    """Lambda, entropy and average codeword length of one cluster at once,
+    from the ``leaf_counts`` of its tally ``t``.
 
     Each of the L_n leaves at generation n has probability p^n / Lambda;
     the average length is sum_n n * L_n * p^n / Lambda.  Entropy and

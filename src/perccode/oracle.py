@@ -3,8 +3,9 @@
 Two independent routes to exact answers:
 
 * polynomial composition of the offspring generating function gives the
-  exact distribution of the generation-n node count (and, via a bivariate
-  inner polynomial, the exact joint distribution of node and leaf counts);
+  exact law of the generation-n node count as a plain array, and binomial
+  thinning of it (each node a leaf with probability q^2) the exact joint
+  law of node and leaf counts as a matrix;
 * exhaustive enumeration walks every open/closed assignment of a shallow
   truncated tree's edges, weighting each by p^(#open) q^(#closed).  The
   node and leaf counts of every assignment are read straight off its edge
@@ -30,8 +31,6 @@ from .infomeasure import row_measures
 
 __all__ = [
     "SizeError",
-    "DistVector",
-    "JointDist",
     "ExactStats",
     "node_distribution",
     "joint_leaf_distribution",
@@ -48,41 +47,6 @@ MAX_ENUM_DEPTH = 3  # 2^(depth+1)-2 edges -> at most 16384 configurations
 
 class SizeError(ValueError):
     """Requested size exceeds the oracle's deliberate cap."""
-
-
-@dataclass(frozen=True)
-class DistVector:
-    """probs[k] = P(node count at the generation equals k)."""
-
-    generation: int
-    probs: np.ndarray
-
-    def mean(self) -> float:
-        k = np.arange(len(self.probs))
-        return float(k @ self.probs)
-
-    def variance(self) -> float:
-        k = np.arange(len(self.probs))
-        m = float(k @ self.probs)
-        return float((k * k) @ self.probs) - m * m
-
-
-@dataclass(frozen=True)
-class JointDist:
-    """probs[j, i] = P(node count = j and leaf count = i) at one generation."""
-
-    generation: int
-    probs: np.ndarray
-
-    def node_marginal(self) -> np.ndarray:
-        return self.probs.sum(axis=1)
-
-    def leaf_marginal(self) -> np.ndarray:
-        return self.probs.sum(axis=0)
-
-    def leaf_mean(self) -> float:
-        i = np.arange(self.probs.shape[1])
-        return float(i @ self.leaf_marginal())
 
 
 @dataclass(frozen=True)
@@ -107,62 +71,40 @@ class ExactStats:
     leafless_probability: float
 
 
-def _lifted(coeffs: np.ndarray, params: ModelParams) -> np.ndarray:
-    # coefficients of p*f(xi) + q
-    out = params.p * coeffs
-    out[0] += params.q
-    return out
-
-
-def node_distribution(params: ModelParams, n: int) -> DistVector:
-    """Exact distribution of the generation-n node count via repeated
-    polynomial substitution f_n = (p * f_{n-1} + q)^2, f_0 = identity."""
+def node_distribution(params: ModelParams, n: int) -> np.ndarray:
+    """Exact law of the generation-n node count, entry k being P(N_n = k), via
+    repeated polynomial substitution f_n = (p * f_{n-1} + q)^2, f_0 = identity."""
     if n < 0:
         raise ValueError(f"generation must be >= 0, got {n}")
     if n > MAX_DIST_GENERATION:
         raise SizeError(f"generation {n} exceeds cap {MAX_DIST_GENERATION}")
     coeffs = np.array([0.0, 1.0])
     for _ in range(n):
-        lifted = _lifted(coeffs, params)
+        lifted = params.p * coeffs
+        lifted[0] += params.q
         coeffs = np.convolve(lifted, lifted)
-    return DistVector(generation=n, probs=coeffs)
+    return coeffs
 
 
-def joint_leaf_distribution(params: ModelParams, n: int) -> JointDist:
-    """Exact joint distribution of (node count, leaf count) at generation n.
+def joint_leaf_distribution(params: ModelParams, n: int) -> np.ndarray:
+    """Exact joint law of (node count, leaf count) at generation n, entry
+    [j, i] being P(N_n = j, L_n = i).
 
-    The node-variable polynomial of generation n-1 is composed with the
-    bivariate inner polynomial (p * xi * g(zeta) + q)^2, where g is the
-    leaf-indicator generating function; coefficient [j, i] of the result
-    is P(N_n = j, L_n = i).
+    Each node of generation n is a leaf, both of its edges closed,
+    independently with probability u1 = q^2.  So given N_n = j the leaf
+    count is Binomial(j, u1), whose law is the coefficients of
+    (u0 + u1 * zeta)^j: row j of the node law's thinning matrix.
     """
     if n < 1:
         raise ValueError(f"generation must be >= 1, got {n}")
     if n > MAX_JOINT_GENERATION:
         raise SizeError(f"generation {n} exceeds cap {MAX_JOINT_GENERATION}")
-    p, q, u0, u1 = params.p, params.q, params.u0, params.u1
-    # inner[j, i]: coefficient of xi^j zeta^i in (p xi g(zeta) + q)^2
-    inner = np.zeros((3, 3))
-    inner[0, 0] = q * q
-    inner[1, 0] = 2.0 * p * q * u0
-    inner[1, 1] = 2.0 * p * q * u1
-    inner[2, 0] = p * p * u0 * u0
-    inner[2, 1] = 2.0 * p * p * u0 * u1
-    inner[2, 2] = p * p * u1 * u1
-    outer = node_distribution(params, n - 1).probs
-    # Horner evaluation of the outer polynomial at the bivariate inner one;
-    # each step multiplies by inner, a full 2-D convolution done as nine
-    # shifted adds
-    acc = np.array([[outer[-1]]])
-    for c in outer[-2::-1]:
-        rows, cols = acc.shape
-        product = np.zeros((rows + 2, cols + 2))
-        for j in range(3):
-            for i in range(3):
-                product[j : j + rows, i : i + cols] += inner[j, i] * acc
-        acc = product
-        acc[0, 0] += c
-    return JointDist(generation=n, probs=acc)
+    nodes = node_distribution(params, n)
+    thinning, row = np.zeros((len(nodes), len(nodes))), np.array([1.0])
+    for j in range(len(nodes)):
+        thinning[j, : j + 1] = row
+        row = np.convolve(row, [params.u0, params.u1])
+    return nodes[:, None] * thinning
 
 
 @functools.cache

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from perccode import analytic, oracle, percolate
 from perccode.analytic import DomainError, ModelParams
+from perccode.infomeasure import row_measures
 
 from conftest import cluster_from_mask
 
@@ -127,8 +129,24 @@ def test_node_moments_match_exact_distribution(p, n):
     m = ModelParams(p)
     dist = oracle.node_distribution(m, n)
     got = analytic.node_moments(m, n)
-    assert got.mean == pytest.approx(dist.mean(), abs=1e-9)
-    assert got.variance == pytest.approx(dist.variance(), abs=1e-9)
+    k = np.arange(len(dist))
+    mean = float(k @ dist)
+    assert got.mean == pytest.approx(mean, abs=1e-9)
+    assert got.variance == pytest.approx(float((k * k) @ dist) - mean * mean, abs=1e-9)
+
+
+@pytest.mark.parametrize("offset", [1e-6, 1e-8, 1e-10, 1e-12, 2.0**-45])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_node_variance_next_to_one_half_is_exact(offset, sign):
+    # (mean - 1)/(mu - 1) cancels next to p = 1/2; exact rational arithmetic does not
+    p = 0.5 + sign * offset
+    exact_p = Fraction(p)
+    mu = 2 * exact_p
+    for n in (2, 5, 12, 40):
+        mean = mu**n
+        exact = (1 - exact_p) * mean * (mean - 1) / (mu - 1)
+        got = analytic.node_moments(ModelParams(p), n).variance
+        assert float(abs(Fraction(got) - exact) / exact) <= 1e-14, n
 
 
 def test_leaf_moments_examples():
@@ -144,7 +162,7 @@ def test_leaf_moments_examples():
 @pytest.mark.parametrize("n", range(1, 7))
 def test_leaf_variance_matches_exact_distribution(p, n):
     m = ModelParams(p)
-    marginal = oracle.joint_leaf_distribution(m, n).leaf_marginal()
+    marginal = oracle.joint_leaf_distribution(m, n).sum(axis=0)
     i = np.arange(len(marginal))
     mean = float(i @ marginal)
     truth = float((i * i) @ marginal) - mean * mean
@@ -251,6 +269,61 @@ def test_lambda_var_exact_matches_monte_carlo(p):
     # the generations cut off below depth 24 move the variance by < se / 20
     assert abs(_lambda_moments_to_depth(p, depth)[1] - exact) < se / 20
     assert abs(lam.var(ddof=1) - exact) < 3 * se
+
+
+def _leaf_weight_transform(p: float, depth: int, s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """F_d(s, t) = E[exp(-s Lambda_d - t M_d)] with M_d = sum_{n<d} n L_n p^n, a
+    leafless cluster's (Lambda, M) being (0, 0), by the first-step recursion
+    F_d(s, t) = q^2 e^-s + 2pq F' + p^2 F'^2 with F' = F_{d-1}(p(s + t), pt), F_0 = 1:
+    a child's leaf at its generation n is one at n + 1, of weight p^(n+1)."""
+    q = 1.0 - p
+    levels = []
+    for _ in range(depth):
+        levels.append(s)
+        s, t = p * (s + t), p * t
+    f = np.ones_like(s)
+    for s in reversed(levels):
+        f = q * q * np.exp(-s) + 2 * p * q * f + p * p * f * f
+    return f
+
+
+# (s, t) points of the transform, each an expectation over the whole leaf profile
+TRANSFORM_POINTS = np.array(
+    [(0.1, 0), (0.5, 0), (1, 0), (2, 0), (5, 0), (0.3, 0.2), (1, 0.5), (3, 1)], dtype=float
+).T
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 0.6, 0.9, 1.0])
+@pytest.mark.parametrize("depth", range(4))
+def test_leaf_weight_transform_matches_enumeration(p, depth):
+    opened, _, leaf_rows, inverse = oracle._enumerated_tallies(depth)
+    n_edges = 2 ** (depth + 1) - 2
+    weights = np.array([p**k * (1.0 - p) ** (n_edges - k) for k in range(n_edges + 1)])[opened]
+    powers = np.array([p**n for n in range(depth)])
+    lam = (leaf_rows @ powers)[inverse]
+    m = (leaf_rows @ (np.arange(depth) * powers))[inverse]
+    s, t = TRANSFORM_POINTS
+    got = [math.fsum((weights * np.exp(-a * lam - b * m)).tolist()) for a, b in zip(s, t)]
+    assert np.abs(np.array(got) - _leaf_weight_transform(p, depth, s, t)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("p, depth, samples", [(0.45, 16, 50_000), (0.6, 16, 50_000), (0.7, 18, 20_000)])
+def test_sampled_leaf_weights_follow_the_transform(p, depth, samples):
+    # a check against the model, not between paths: the distribution of
+    # (Lambda, M) as sampled and measured, through exp(-s Lambda - t M), whose
+    # exact variance F(2s, 2t) - F(s, t)^2 gives each point an exact z-score
+    _, leaves = percolate.sample_tallies(ModelParams(p), depth, 99, samples)
+    (measured,) = row_measures(leaves, p, [depth])
+    lam = measured[:, 0]
+    m = np.nan_to_num(lam * measured[:, 2])  # Lambda times the mean length, 0 if leafless
+    s, t = TRANSFORM_POINTS
+    f, f2 = _leaf_weight_transform(p, depth, s, t), _leaf_weight_transform(p, depth, 2 * s, 2 * t)
+    # a point where rare small-Lambda clusters carry the mean has little power
+    powered = f2 <= 4 * f * f
+    assert powered.sum() >= 5
+    sampled = np.exp(-np.outer(lam, s) - np.outer(m, t)).mean(axis=0)
+    z = (sampled - f) / np.sqrt((f2 - f * f) / samples)
+    assert np.abs(z[powered]).max() <= 4, z
 
 
 def test_expected_entropy_examples():

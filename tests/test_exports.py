@@ -51,13 +51,29 @@ def test_no_module_imports_a_private_name_of_a_sibling():
 def test_oracle_imports_nothing_from_the_sampler():
     # the enumeration counts its configurations itself, so that a test can
     # check the sampler's tally against it
-    imports = _package_imports(Path(perccode.__file__).parent / "oracle.py")
+    package = Path(perccode.__file__).parent
+    imports = _package_imports(package / "oracle.py")
     assert imports
     assert [
         (module, name)
         for module, name in imports
         if module == "perccode.percolate" or (module, name) == ("perccode", "percolate")
     ] == []
+    # nor does any module it imports, followed transitively; ``from perccode
+    # import x`` runs the package's __init__, and then module x if it is one
+    reached, todo = set(), ["perccode.oracle"]
+    while todo:
+        module = todo.pop()
+        if module in reached:
+            continue
+        reached.add(module)
+        stem = module.removeprefix("perccode").lstrip(".") or "__init__"
+        for imported, name in _package_imports(package / f"{stem}.py"):
+            todo.append(imported)
+            if imported == "perccode" and (package / f"{name}.py").exists():
+                todo.append(f"perccode.{name}")
+    assert reached >= {"perccode.oracle", "perccode.analytic", "perccode.infomeasure"}
+    assert "perccode.percolate" not in reached
 
 
 def test_ensemble_draws_only_through_grid_tallies():

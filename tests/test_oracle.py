@@ -88,11 +88,11 @@ def reference_enumeration(params: ModelParams, depth: int) -> ExactStats:
 
 def test_node_distribution_examples():
     d1 = node_distribution(ModelParams(0.5), 1)
-    assert np.allclose(d1.probs, [0.25, 0.5, 0.25], atol=1e-15)
+    assert np.allclose(d1, [0.25, 0.5, 0.25], atol=1e-15)
     d2 = node_distribution(ModelParams(0.5), 2)
-    assert d2.probs[0] == pytest.approx(0.390625, abs=1e-12)
+    assert d2[0] == pytest.approx(0.390625, abs=1e-12)
     d0 = node_distribution(ModelParams(0.37), 0)
-    assert np.allclose(d0.probs, [0.0, 1.0], atol=0)
+    assert np.allclose(d0, [0.0, 1.0], atol=0)
 
 
 def test_node_distribution_caps():
@@ -107,27 +107,29 @@ def test_node_distribution_sums_and_moments(p):
     m = ModelParams(p)
     for n in range(11):
         dist = node_distribution(m, n)
-        assert len(dist.probs) == 2**n + 1
-        assert np.all(dist.probs >= 0.0)
-        assert math.fsum(dist.probs.tolist()) == pytest.approx(1.0, abs=1e-9)
+        assert len(dist) == 2**n + 1
+        assert np.all(dist >= 0.0)
+        assert math.fsum(dist.tolist()) == pytest.approx(1.0, abs=1e-9)
         mom = analytic.node_moments(m, n)
-        assert dist.mean() == pytest.approx(mom.mean, abs=1e-9)
-        assert dist.variance() == pytest.approx(mom.variance, abs=1e-9)
+        k = np.arange(len(dist))
+        mean = float(k @ dist)
+        assert mean == pytest.approx(mom.mean, abs=1e-9)
+        assert float((k * k) @ dist) - mean * mean == pytest.approx(mom.variance, abs=1e-9)
 
 
 def test_extinction_atom_matches_iterate():
     m = ModelParams(0.6)
     for n in (1, 4, 9):
         dist = node_distribution(m, n)
-        assert dist.probs[0] == pytest.approx(analytic.pgf_iterate(m, n, 0.0), abs=1e-12)
+        assert dist[0] == pytest.approx(analytic.pgf_iterate(m, n, 0.0), abs=1e-12)
 
 
 def test_joint_example_two_children_both_leaves():
     j = joint_leaf_distribution(ModelParams(0.5), 1)
     # both edges open, then each child keeps both of its edges closed
-    assert j.probs[2, 2] == pytest.approx(0.015625, abs=1e-12)
-    assert j.probs[2, 1] == pytest.approx(0.09375, abs=1e-12)
-    assert j.probs[0, 0] == pytest.approx(0.25, abs=1e-12)
+    assert j[2, 2] == pytest.approx(0.015625, abs=1e-12)
+    assert j[2, 1] == pytest.approx(0.09375, abs=1e-12)
+    assert j[0, 0] == pytest.approx(0.25, abs=1e-12)
 
 
 @pytest.mark.parametrize("p", [0.3, 0.5, 0.6])
@@ -135,16 +137,30 @@ def test_joint_example_two_children_both_leaves():
 def test_joint_marginals_and_leaf_mean(p, n):
     m = ModelParams(p)
     j = joint_leaf_distribution(m, n)
-    assert np.all(j.probs >= -1e-15)
-    marginal = j.node_marginal()
-    assert np.allclose(marginal, node_distribution(m, n).probs, atol=1e-9)
-    assert j.leaf_mean() == pytest.approx(analytic.leaf_moments(m, n).mean, abs=1e-9)
+    assert np.all(j >= -1e-15)
+    marginal = j.sum(axis=1)
+    assert np.allclose(marginal, node_distribution(m, n), atol=1e-9)
+    leaf_mean = float(np.arange(j.shape[1]) @ j.sum(axis=0))
+    assert leaf_mean == pytest.approx(analytic.leaf_moments(m, n).mean, abs=1e-9)
 
 
 def test_joint_upper_triangle_is_zero():
     j = joint_leaf_distribution(ModelParams(0.6), 3)
-    rows, cols = np.indices(j.probs.shape)
-    assert np.all(j.probs[cols > rows] == 0.0)
+    rows, cols = np.indices(j.shape)
+    assert np.all(j[cols > rows] == 0.0)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 0.6, 0.9, 1.0])
+@pytest.mark.parametrize("n", [1, 2])
+def test_joint_is_the_weighted_histogram_of_the_enumerated_masks(p, n):
+    # an independent route to the thinned law: every edge mask of the depth-3
+    # tree, weighted p^open q^closed, counted at its own (N_n, L_n)
+    opened, node_rows, leaf_rows, inverse = _enumerated_tallies(3)
+    n_edges = 2**4 - 2
+    weights = np.array([p**k * (1.0 - p) ** (n_edges - k) for k in range(n_edges + 1)])
+    hist = np.zeros((2**n + 1, 2**n + 1))
+    np.add.at(hist, (node_rows[:, n], leaf_rows[inverse, n]), weights[opened])
+    assert np.abs(joint_leaf_distribution(ModelParams(p), n) - hist).max() <= 1e-13
 
 
 def test_joint_caps():
@@ -198,7 +214,7 @@ def test_enumeration_node_histograms_match_polynomials():
     stats = exact_enumeration(m, 3)
     for n in range(4):
         assert np.allclose(
-            stats.node_distributions[n], node_distribution(m, n).probs, atol=1e-9
+            stats.node_distributions[n], node_distribution(m, n), atol=1e-9
         )
 
 

@@ -67,6 +67,7 @@ CSV_COLUMNS = [
     "analytic_L",
     "analytic_lambda",
 ]
+_REDUCE_ELEMENTS = 1 << 20  # leaf counts a cell copies at a time to reduce them
 
 
 @dataclass(frozen=True)
@@ -139,11 +140,16 @@ def run_ensemble(params: ModelParams, depth: int, samples: int, seed: int) -> En
 def _cell_stats(params, seed: int, nodes, leaves, depth: int, measured) -> EnsembleStats:
     """The row of the ``depth`` cell from one p's tallies at a depth bound of
     ``depth`` or deeper, cut to ``depth``, and ``row_measures`` of the cut."""
-    # each generation one contiguous row, which NumPy sums in the pairwise order it
-    # gives that generation's column alone (integer means are exact in any order)
-    columns = np.ascontiguousarray(leaves[:, :depth].T)
     n_final = nodes[:, depth]
     samples = len(n_final)
+    # a block of generations at a time, each one contiguous row, which NumPy sums in the
+    # pairwise order it gives that column alone (integer means are exact in any order)
+    leaf_mean, leaf_se, step = [], [0.0] * depth, max(1, _REDUCE_ELEMENTS // samples)
+    for g in range(0, depth, step):
+        columns = np.ascontiguousarray(leaves[:, g : min(g + step, depth)].T)
+        leaf_mean += columns.mean(axis=1).tolist()
+        if samples > 1:
+            leaf_se[g : g + step] = (columns.std(axis=1, ddof=1) / math.sqrt(samples)).tolist()
     _, entropy, length = measured.T
 
     usable = ~np.isnan(entropy)
@@ -151,9 +157,6 @@ def _cell_stats(params, seed: int, nodes, leaves, depth: int, measured) -> Ensem
     mean_n, se_n = _mean_se(n_final.astype(float))
     mean_h, se_h = _mean_se(entropy[usable])
     mean_l, se_l = _mean_se(length[usable])
-    leaf_se = [0.0] * depth
-    if samples > 1:
-        leaf_se = (columns.std(axis=1, ddof=1) / math.sqrt(samples)).tolist()
 
     try:
         a_h = analytic.expected_entropy(params)
@@ -179,7 +182,7 @@ def _cell_stats(params, seed: int, nodes, leaves, depth: int, measured) -> Ensem
         analytic_H_bits=a_h,
         analytic_L=a_l,
         analytic_lambda=a_lam,
-        mean_leaf_counts=columns.mean(axis=1).tolist(),
+        mean_leaf_counts=leaf_mean,
         se_leaf_counts=leaf_se,
     )
 

@@ -7,12 +7,12 @@ Two independent routes to exact answers:
   thinning of it (each node a leaf with probability q^2) the exact joint
   law of node and leaf counts as a matrix;
 * exhaustive enumeration walks every open/closed assignment of a shallow
-  truncated tree's edges, weighting each by p^(#open) q^(#closed).  The
-  node and leaf counts of every assignment are read straight off its edge
-  bits, all assignments at once, without building a cluster or calling the
-  sampler's ``tally`` (a per-assignment test checks that ``tally`` against
-  these counts); each leaf-count row is measured by the ensemble's own
-  ``infomeasure.row_measures``.
+  truncated tree's edges, weighting each by p^(#open) q^(#closed).  Node
+  and leaf counts are read straight off the edge bits, all assignments at
+  once, with no cluster built and no call to the sampler's ``tally`` (a
+  test checks ``tally`` against them); each distinct leaf-count row is
+  measured by ``infomeasure.row_measures``.  A mean is one exact integer
+  sum over the groups of assignments that add the same product to it.
 
 Both are deliberately capped at small sizes; they exist to validate the
 closed forms and the sampler, not to scale.
@@ -21,7 +21,6 @@ closed forms and the sampler, not to scale.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,18 +139,42 @@ def _enumerated_tallies(depth: int) -> tuple[np.ndarray, ...]:
     return opened, node_rows, leaf_rows, inverse
 
 
+@functools.cache
+def _group_counts(depth: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """How many configurations at ``depth`` share each product of a weighted
+    mean, read-only: entry [k, n] counts those with k open edges and N_g = n
+    (g <= depth), then L_g = n (g < depth); the last, those with leaf row n."""
+    opened, node_rows, leaf_rows, inverse = _enumerated_tallies(depth)
+    key, groups = opened.astype(np.intp), []
+    for column in [*node_rows.T, *leaf_rows[inverse].T, inverse]:
+        width = int(column.max()) + 1
+        counts = np.bincount(key * width + column, minlength=(2 ** (depth + 1) - 1) * width)
+        groups.append(counts.reshape(-1, width))
+        groups[-1].flags.writeable = False
+    return tuple(groups[:-1]), groups[-1]
+
+
+def _exact_sum(counts: np.ndarray, values: np.ndarray) -> float:
+    """Sum of counts * values rounded once, half to even, as ``math.fsum`` of
+    the multiset rounds it: every finite float is an integer over a power of
+    two, so the sum is one Python int over the largest, and int / int rounds."""
+    mantissas, exponents = np.frexp(values.ravel())
+    lo = int(exponents.min(initial=53))  # the sum's unit, 2^(lo - 53), is at most 1
+    ints = (mantissas * 2.0**53).astype(np.int64).tolist()
+    terms = zip(counts.ravel().tolist(), ints, (exponents - lo).tolist())
+    return sum(c * m << e for c, m, e in terms) / (1 << (53 - lo))
+
+
 def exact_enumeration(params: ModelParams, depth: int) -> ExactStats:
     """Exact expectations over all 2^E edge configurations (E = 2^(depth+1)-2).
 
-    Each configuration is weighted by p^(#open) q^(#closed) over *all*
-    edges of the truncated tree.  Its per-generation node and leaf counts
-    come from its edge bits alone, with no cluster built and no call to the
-    sampler's ``tally``; the leaf-count rows go through
-    :func:`~perccode.infomeasure.row_measures` at the one cut ``[depth]``,
-    which measures each distinct row once (10 at depth 3), with certified
-    column sums and an fsum fallback.  The counts do not depend on p, so
-    they are worked out once per depth and kept.  All sums run over the 2^E
-    configurations in order.
+    Each configuration is weighted by w_k = p^k q^(E-k) for its k open edges
+    out of *all* edges of the truncated tree.  Its node and leaf counts come
+    from its edge bits alone and do not depend on p, so they are worked out
+    once per depth and kept, grouped by (k, value); each distinct leaf-count
+    row is measured by :func:`~perccode.infomeasure.row_measures`.  A mean is
+    one exact sum of count * fl(w_k * value) over at most (E + 1) x 10 groups,
+    rounded once: the bits ``math.fsum`` gives over all 2^E products.
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
@@ -159,48 +182,36 @@ def exact_enumeration(params: ModelParams, depth: int) -> ExactStats:
         raise SizeError(f"depth {depth} exceeds cap {MAX_ENUM_DEPTH}")
     p, q = params.p, params.q
     n_edges = 2 ** (depth + 1) - 2
-    opened, node_rows, leaf_rows, inverse = _enumerated_tallies(depth)
+    opened, node_rows, leaf_rows, _ = _enumerated_tallies(depth)
+    count_groups, row_groups = _group_counts(depth)
     # a configuration's weight depends only on how many edges it opens
-    weights = np.array([p**k * q ** (n_edges - k) for k in range(n_edges + 1)])[opened]
-    nodes = node_rows.astype(float)
-    # distinct leaf-count rows, spread back to one per configuration
-    leaves = leaf_rows.astype(float)[inverse]
-    # entropy and length are NaN together, where Lambda = 0
+    w = np.array([p**k * q ** (n_edges - k) for k in range(n_edges + 1)])
+    weights = w[opened]  # bincount adds them in mask order, one configuration at a time
+    node_hist = [np.bincount(column, weights=weights) for column in node_rows.T]
+    # first and second moments of N_0..N_d, then of L_0..L_{d-1}
+    means, squares = (
+        [_exact_sum(c, np.outer(w, np.arange(c.shape[1]) ** j)) for c in count_groups]
+        for j in (1, 2)
+    )
+    variances = [s - m**2 for m, s in zip(means, squares)]
+    # entropy and length are NaN together, where Lambda = 0, and a leafless
+    # row adds an exact 0 to the sums over those with leaves
     (measured,) = row_measures(leaf_rows, p, [depth])
-    lams, entropies, lengths = measured[inverse].T
-    # bincount adds the weights in mask order, one configuration at a time
-    node_hist = [
-        np.bincount(node_rows[:, g], weights=weights, minlength=2**g + 1)
-        for g in range(depth + 1)
-    ]
-
-    def wmean(values: np.ndarray) -> float:
-        return math.fsum((weights * values).tolist())
-
-    node_mean = [wmean(nodes[:, g]) for g in range(depth + 1)]
-    node_var = [
-        wmean(nodes[:, g] ** 2) - node_mean[g] ** 2 for g in range(depth + 1)
-    ]
-    leaf_mean = [wmean(leaves[:, g]) for g in range(depth)]
-    leaf_var = [wmean(leaves[:, g] ** 2) - leaf_mean[g] ** 2 for g in range(depth)]
-
-    # a leafless configuration adds an exact 0 to the sums over those with leaves
-    mass_with_leaves = wmean(~np.isnan(entropies))
-    mean_entropy = mean_length = 0.0
-    if mass_with_leaves > 0.0:
-        mean_entropy = wmean(np.nan_to_num(entropies)) / mass_with_leaves
-        mean_length = wmean(np.nan_to_num(lengths)) / mass_with_leaves
+    mass_with_leaves, lam_sum, entropy_sum, length_sum = (
+        _exact_sum(row_groups, np.outer(w, v))
+        for v in (~np.isnan(measured[:, 1]), measured[:, 0], *np.nan_to_num(measured[:, 1:]).T)
+    )
 
     return ExactStats(
         p=p,
         depth=depth,
-        node_mean=node_mean,
-        node_var=node_var,
-        leaf_mean=leaf_mean,
-        leaf_var=leaf_var,
+        node_mean=means[: depth + 1],
+        node_var=variances[: depth + 1],
+        leaf_mean=means[depth + 1 :],
+        leaf_var=variances[depth + 1 :],
         node_distributions=node_hist,
-        mean_normalization=wmean(lams),
-        mean_entropy_bits=mean_entropy,
-        mean_avg_length=mean_length,
+        mean_normalization=lam_sum,
+        mean_entropy_bits=entropy_sum / mass_with_leaves if mass_with_leaves else 0.0,
+        mean_avg_length=length_sum / mass_with_leaves if mass_with_leaves else 0.0,
         leafless_probability=1.0 - mass_with_leaves,
     )

@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from perccode import analytic, cli, percolate
+from perccode import analytic, cli, ensemble, percolate
 from perccode.analytic import DomainError, ModelParams, pgf_iterate
 from perccode.ensemble import (
     CSV_COLUMNS,
@@ -50,6 +50,20 @@ def test_counts_partition_and_se_definition():
     assert stats.se_N_final > 0.0
     assert stats.se_H_bits > 0.0
 
+
+
+@pytest.mark.parametrize("samples", [1, 3000])
+@pytest.mark.parametrize("generations_per_block", [1, 5])
+def test_leaf_columns_reduced_a_block_at_a_time_give_the_same_rows(
+    monkeypatch, samples, generations_per_block
+):
+    # NumPy reduces each generation's row on its own, so how many generations
+    # share one contiguous copy changes no bit of any row
+    config = EnsembleConfig([0.45, 0.6], [7, 12], samples, seed=2203)
+    assert ensemble._REDUCE_ELEMENTS // samples >= 12  # one block by default
+    whole = sweep(config, log=None)
+    monkeypatch.setattr(ensemble, "_REDUCE_ELEMENTS", generations_per_block * samples)
+    assert sweep(config, log=None) == whole
 
 def test_extinction_tracks_pgf_iterate():
     m = ModelParams(0.6)

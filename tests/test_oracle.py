@@ -1,16 +1,20 @@
 import math
+import random
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from perccode import analytic
 from perccode.analytic import ModelParams
-from perccode.infomeasure import measures
+from perccode.infomeasure import measures, row_measures
 from perccode.oracle import (
     ExactStats,
     SizeError,
     _enumerated_tallies,
+    _exact_sum,
+    _group_counts,
     exact_enumeration,
     joint_leaf_distribution,
     node_distribution,
@@ -85,6 +89,63 @@ def reference_enumeration(params: ModelParams, depth: int) -> ExactStats:
         leafless_probability=leafless_probability,
     )
 
+
+def fsum_enumeration(params: ModelParams, depth: int) -> ExactStats:
+    """The enumeration with one ``math.fsum`` over the 2^E per-configuration
+    products per mean: the counts of ``_enumerated_tallies`` spread back to one
+    float row per configuration, with nothing grouped."""
+    p, q = params.p, params.q
+    n_edges = 2 ** (depth + 1) - 2
+    opened, node_rows, leaf_rows, inverse = _enumerated_tallies(depth)
+    weights = np.array([p**k * q ** (n_edges - k) for k in range(n_edges + 1)])[opened]
+    nodes = node_rows.astype(float)
+    leaves = leaf_rows.astype(float)[inverse]
+    (measured,) = row_measures(leaf_rows, p, [depth])
+    lams, entropies, lengths = measured[inverse].T
+    node_hist = [
+        np.bincount(node_rows[:, g], weights=weights, minlength=2**g + 1)
+        for g in range(depth + 1)
+    ]
+
+    def wmean(values: np.ndarray) -> float:
+        return math.fsum((weights * values).tolist())
+
+    node_mean = [wmean(nodes[:, g]) for g in range(depth + 1)]
+    node_var = [
+        wmean(nodes[:, g] ** 2) - node_mean[g] ** 2 for g in range(depth + 1)
+    ]
+    leaf_mean = [wmean(leaves[:, g]) for g in range(depth)]
+    leaf_var = [wmean(leaves[:, g] ** 2) - leaf_mean[g] ** 2 for g in range(depth)]
+
+    mass_with_leaves = wmean(~np.isnan(entropies))
+    mean_entropy = mean_length = 0.0
+    if mass_with_leaves > 0.0:
+        mean_entropy = wmean(np.nan_to_num(entropies)) / mass_with_leaves
+        mean_length = wmean(np.nan_to_num(lengths)) / mass_with_leaves
+
+    return ExactStats(
+        p=p,
+        depth=depth,
+        node_mean=node_mean,
+        node_var=node_var,
+        leaf_mean=leaf_mean,
+        leaf_var=leaf_var,
+        node_distributions=node_hist,
+        mean_normalization=wmean(lams),
+        mean_entropy_bits=mean_entropy,
+        mean_avg_length=mean_length,
+        leafless_probability=1.0 - mass_with_leaves,
+    )
+
+
+def assert_same_bits(got: ExactStats, want: ExactStats) -> None:
+    for field in fields(ExactStats):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if field.name == "node_distributions":
+            assert len(a) == len(b)
+            assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        else:
+            assert a == b, field.name
 
 def test_node_distribution_examples():
     d1 = node_distribution(ModelParams(0.5), 1)
@@ -275,10 +336,28 @@ def test_enumerated_clusters_are_shared_read_only(depth):
     # every p at one depth gets the same arrays, so none may be written
     exact_enumeration(ModelParams(0.4), depth)
     shared = _enumerated_tallies(depth)
+    groups = _group_counts(depth)
+    exact_enumeration(ModelParams(0.7), depth)
     assert _enumerated_tallies(depth) is shared
-    for array in shared:
+    assert _group_counts(depth) is groups
+    count_groups, row_groups = groups
+    for array in (*shared, *count_groups, row_groups):
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
+
+
+@pytest.mark.parametrize("depth", range(4))
+def test_group_counts_are_the_histograms_of_the_masks(depth):
+    # entry [k, n] counts the masks with k open edges and value n, one mask at a time
+    opened, node_rows, leaf_rows, inverse = _enumerated_tallies(depth)
+    count_groups, row_groups = _group_counts(depth)
+    columns = [*node_rows.T, *leaf_rows[inverse].T, inverse]
+    assert len(count_groups) + 1 == len(columns) == 2 * depth + 2
+    for counts, column in zip((*count_groups, row_groups), columns):
+        want = np.zeros((2 ** (depth + 1) - 1, int(column.max()) + 1), dtype=np.int64)
+        for k, value in zip(opened.tolist(), column.tolist()):
+            want[k, value] += 1
+        assert np.array_equal(counts, want)
 
 
 @pytest.mark.parametrize("depth", range(4))
@@ -290,3 +369,38 @@ def test_mask_counts_are_the_tally_of_each_configuration(depth):
         assert nodes[mask].tolist() == want.node_counts, mask
         assert leaf_rows[inverse[mask]].tolist() == want.leaf_counts, mask
         assert opened[mask] == mask.bit_count()
+
+
+# p where the weights are extreme (0, the least subnormal, 2^-53 and 1 - 2^-53,
+# 1) or the tree is sub-, near- and supercritical, then 40 seeded draws
+_BIT_GATE_P = [0.0, 5e-324, 2.0**-53, 0.3, 0.5, 0.6, 0.9, 1.0 - 2.0**-53, 1.0] + [
+    random.Random(2201).random() for _ in range(40)
+]
+
+
+@pytest.mark.parametrize("depth", range(4))
+@pytest.mark.parametrize("p", _BIT_GATE_P)
+def test_grouped_sums_are_bit_identical_to_fsum_over_configurations(p, depth):
+    params = ModelParams(p)
+    assert_same_bits(exact_enumeration(params, depth), fsum_enumeration(params, depth))
+
+
+_SUMMANDS = st.floats(
+    min_value=-1e300, max_value=1e300, allow_nan=False, allow_infinity=False
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2**14), _SUMMANDS), max_size=8))
+# a halfway tie: 1 + 1.5 ulp(1) rounds to the even 1 + 2 ulp(1)
+@example([(1, 1.0), (3, 2.0**-53)])
+# sums that are exactly a power of two: 1, then 2^14 least subnormals, then
+# the 2^-1022 left when the 1e300s cancel
+@example([(1, 1.0 - 2.0**-53), (1, 2.0**-53)])
+@example([(2**14, 5e-324)])
+@example([(3, 1e300), (2**14, -1e300), (2**14 - 3, 1e300), (1, 2.0**-1022)])
+def test_exact_sum_is_fsum_of_the_expanded_multiset(pairs):
+    counts = np.array([c for c, _ in pairs], dtype=np.int64)
+    values = np.array([v for _, v in pairs], dtype=float)
+    want = math.fsum([v for c, v in pairs for _ in range(c)])
+    assert _exact_sum(counts, values) == want

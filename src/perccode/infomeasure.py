@@ -110,10 +110,9 @@ def _measured(rows: np.ndarray, lam: np.ndarray, num: np.ndarray, powers: np.nda
     prob = powers[gen] / lam[at]
     gen, at, prob = gen[prob > 0.0], at[prob > 0.0], prob[prob > 0.0]
     terms = rows[at, gen] * prob * np.fromiter(map(math.log2, prob.tolist()), float, len(prob))
-    # subtracted a generation at a time, so each row adds its terms in measures' order
-    ends = np.searchsorted(gen, range(rows.shape[1] + 1)).tolist()
-    for lo, hi in zip(ends, ends[1:]):
-        entropy[at[lo:hi]] -= terms[lo:hi]
+    # the terms come generation-major and ufunc.at applies them in index order,
+    # so each row subtracts its terms in measures' order
+    np.subtract.at(entropy, at, terms)
     length = np.divide(num, lam, out=np.full(len(lam), np.nan), where=lam > 0.0)
     return np.column_stack([lam, entropy, length])
 
@@ -121,7 +120,7 @@ def _measured(rows: np.ndarray, lam: np.ndarray, num: np.ndarray, powers: np.nda
 def _spread(measured: np.ndarray, inverse: np.ndarray, at: list[int]) -> Iterator[np.ndarray]:
     # the last cut lets go of the distinct rows first, so that its holder holds no more
     for k, i in enumerate(at, 1):
-        cut = measured[i][inverse]
+        cut = measured[i].take(inverse, axis=0)
         if k == len(at):
             del measured, inverse
         yield cut

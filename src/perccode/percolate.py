@@ -230,9 +230,11 @@ def _tally_blocks(jobs, depth, streams, rows, start, held, bufs):
     generation g of a sample reads flags s_g .. s_g + 2 N_g - 1 of its block,
     so with C[j] the open flags among the first j and D[j] the leaves among
     the first j / 2 nodes, (N_{g+1}, L_g) is (C, D) at s_g + 2 N_g less at s_g.
-    A row's counts are exact up to the first generation whose batch ends past
-    the block, 2 (N_0 + .. + N_gen) > k, so each chunk reads off its own counts
-    which rows ran past and where; gen >= 1, as the root's two flags fit any block.
+    The chunk's (C, D) pairs lie flat, row r's from r (k + 1), and each row holds
+    s_g there, clamped at its own block's end r (k + 1) + k: a generation is one
+    ``take``.  A row's counts are exact up to the first generation whose batch
+    ends past the block, 2 (N_0 + .. + N_gen) > k, so each chunk reads off its own
+    counts which rows ran past and where; gen >= 1, as the root fits any block.
     """
     if len(rows) == 0:
         return [(rows, np.empty((0, 3), int))] * len(jobs)
@@ -254,16 +256,15 @@ def _tally_blocks(jobs, depth, streams, rows, start, held, bufs):
             np.cumsum(flags[:n], axis=1, out=prefix[:n, 1:, 0])
             # a node's two flags read as one 16-bit word are zero iff it is a leaf
             np.cumsum(flags[:n].view(np.uint16) == 0, axis=1, out=prefix[:n, 2::2, 1])
-            base = np.arange(n) * (k + 1)
+            pairs, first = prefix.reshape(-1, 2), np.arange(n) * (k + 1)
             # (C, D) at 0 is (0, 0), never gathered: every sample reads its root's flags
-            before, first, count = 0, np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int32)
+            before, stops, count = 0, first + k, np.ones(n, dtype=np.int32)
             for g in range(depth):
                 # rows past their block read garbage here, redone by a later pass or the resume
-                end = np.minimum(first + 2 * count, k)
-                at_end = prefix.reshape(-1, 2)[base + end]
+                first = np.minimum(first + 2 * count, stops)
+                at_end = pairs.take(first, axis=0)
                 np.subtract(at_end, before, out=gen_tallies[:n, g])
-                count = gen_tallies[:n, g, 0]
-                before, first = at_end, end
+                count, before = gen_tallies[:n, g, 0], at_end
             nodes[batch, 1:] = gen_tallies[:n, :, 0]
             leaves[batch] = gen_tallies[:n, :, 1]
             ends = 2 * np.cumsum(nodes[batch, :depth], axis=1)

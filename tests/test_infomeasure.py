@@ -219,6 +219,10 @@ def leaf_rows(draw):
 @example(p=1e-200, leaves=np.array([[0, 1, 1], [1, 0, 1]], dtype=np.int64))
 # p^1 / Lambda underflows to 0: that leaf adds nothing to the entropy
 @example(p=5e-324, leaves=np.array([[2, 1], [0, 1]], dtype=np.int64))
+# one leaf: probability 1, so the entropy is 0.0 - 1 * 1.0 * 0.0 = +0.0
+@example(p=0.7, leaves=np.array([[0, 0, 1, 0]], dtype=np.int64))
+# a leaf in every generation: the longest run of terms each row subtracts in order
+@example(p=0.9, leaves=np.array([np.arange(1, 41), np.arange(40, 0, -1)], dtype=np.int64))
 def test_row_measures_are_measures_bit_for_bit(p, leaves):
     assert same_bits(at_own_depth(leaves, p), by_measures(leaves, p))
 

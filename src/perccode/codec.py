@@ -10,6 +10,7 @@ decodes it.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -115,9 +116,9 @@ def decode(book: CodeBook, bits: str) -> list[int]:
     index = {w: i for i, w in enumerate(book.words)}
     if "" in index:
         raise DecodeError("codebook contains the empty codeword; non-empty input cannot parse")
-    bad = set(bits) - {"0", "1"}
-    if bad:
-        raise DecodeError(f"bitstring contains non-bit characters: {sorted(bad)}")
+    if not re.fullmatch("[01]*", bits):
+        bad = sorted(set(bits) - {"0", "1"})
+        raise DecodeError(f"bitstring contains non-bit characters: {bad}")
     ordered = sorted(book.words)
     longest = max(map(len, ordered))
     out = []

@@ -137,19 +137,24 @@ def run_ensemble(params: ModelParams, depth: int, samples: int, seed: int) -> En
     return sweep(EnsembleConfig([params.p], [depth], samples, seed), log=None)[0]
 
 
-def _cell_stats(params, seed: int, nodes, leaves, depth: int, measured) -> EnsembleStats:
-    """The row of the ``depth`` cell from one p's tallies at a depth bound of
-    ``depth`` or deeper, cut to ``depth``, and ``row_measures`` of the cut."""
+def _leaf_stats(leaves: np.ndarray) -> tuple[list[float], list[float]]:
+    """Mean and standard error of each generation's leaf count, a block of generations at a
+    time: NumPy reduces each contiguous row in the order it gives that column alone."""
+    samples, depth = leaves.shape
+    mean, se, step = [], [0.0] * depth, max(1, _REDUCE_ELEMENTS // samples)
+    for g in range(0, depth, step):
+        columns = np.ascontiguousarray(leaves[:, g : g + step].T)
+        mean += columns.mean(axis=1).tolist()
+        if samples > 1:
+            se[g : g + step] = (columns.std(axis=1, ddof=1) / math.sqrt(samples)).tolist()
+    return mean, se
+
+
+def _cell_stats(params, seed: int, nodes, leaf_stats, depth: int, measured) -> EnsembleStats:
+    """The row of the ``depth`` cell from one p's node tallies and ``_leaf_stats`` at a
+    depth bound of ``depth`` or deeper, cut to ``depth``, and ``row_measures`` of the cut."""
     n_final = nodes[:, depth]
     samples = len(n_final)
-    # a block of generations at a time, each one contiguous row, which NumPy sums in the
-    # pairwise order it gives that column alone (integer means are exact in any order)
-    leaf_mean, leaf_se, step = [], [0.0] * depth, max(1, _REDUCE_ELEMENTS // samples)
-    for g in range(0, depth, step):
-        columns = np.ascontiguousarray(leaves[:, g : min(g + step, depth)].T)
-        leaf_mean += columns.mean(axis=1).tolist()
-        if samples > 1:
-            leaf_se[g : g + step] = (columns.std(axis=1, ddof=1) / math.sqrt(samples)).tolist()
     _, entropy, length = measured.T
 
     usable = ~np.isnan(entropy)
@@ -182,8 +187,8 @@ def _cell_stats(params, seed: int, nodes, leaves, depth: int, measured) -> Ensem
         analytic_H_bits=a_h,
         analytic_L=a_l,
         analytic_lambda=a_lam,
-        mean_leaf_counts=leaf_mean,
-        se_leaf_counts=leaf_se,
+        mean_leaf_counts=leaf_stats[0][:depth],
+        se_leaf_counts=leaf_stats[1][:depth],
     )
 
 
@@ -220,8 +225,9 @@ def sweep(config: EnsembleConfig, log=_STDERR) -> list[EnsembleStats]:
     start = time.perf_counter()
     tallies = grid_tallies(grid, max(config.depths), config.seed, config.samples)
     for p, params, (nodes, leaves) in zip(config.p_values, grid, tallies):
+        leaf_stats = _leaf_stats(leaves)
         for depth, measured in zip(config.depths, row_measures(leaves, params.p, config.depths)):
-            rows.append(_cell_stats(params, config.seed, nodes, leaves, depth, measured))
+            rows.append(_cell_stats(params, config.seed, nodes, leaf_stats, depth, measured))
             now = time.perf_counter()
             wall, start = now - start, now
             if log is not None:

@@ -200,8 +200,8 @@ _FIRST_FACTOR = 2
 # No block holds more uniforms: a supercritical cluster outgrows any block
 # worth drawing, so only its first generations are tallied in lockstep.
 _BLOCK_CAP = 1024
-# Uniforms held at once (chunk x block): with their flags and running
-# counts, a working set of about 1 MB.
+# Uniforms drawn at once (chunk x largest block), and flags a job tallies at
+# once (span x its own block): with their running counts, about 1 MB in all.
 _CHUNK_UNIFORMS = 1 << 16
 
 
@@ -219,55 +219,61 @@ def _block_sizes(p: float, depth: int) -> tuple[int, ...]:
     return (k,) if k == _BLOCK_CAP else (k, min(4 * k, _BLOCK_CAP))
 
 
-def _tally_blocks(jobs, depth, streams, rows, start, held, bufs):
+def _tally_blocks(jobs, depth, streams, rows, start, held):
     """Tally the samples ``rows`` for each job ``(p, k, nodes, leaves, last)`` from their
-    first ``k`` uniforms, drawn once for all, into ``nodes[:, 1:]`` and ``leaves``, in views
-    of ``bufs``; the pass before ``held`` the first ``start`` as packed flags.  Return per
-    job the rows that ran past their block and their packed flags or, when ``last``, each
-    one's ``(gen, offset, N_gen)``: generation ``gen``, the first to run past, starts ``offset`` in.
+    first ``k`` uniforms, drawn once for all, into ``nodes[:, 1:]`` and ``leaves``; the pass
+    before ``held`` the first ``start`` as packed flags.  Return per job the rows that ran
+    past their block and their packed flags or, when ``last``, each one's ``(gen, offset,
+    N_gen)``: generation ``gen``, the first to run past, starts ``offset`` in.
 
-    A chunk of samples is tallied one generation at a time for all of them:
-    generation g of a sample reads flags s_g .. s_g + 2 N_g - 1 of its block,
-    so with C[j] the open flags among the first j and D[j] the leaves among
-    the first j / 2 nodes, (N_{g+1}, L_g) is (C, D) at s_g + 2 N_g less at s_g.
-    The chunk's (C, D) pairs lie flat, row r's from r (k + 1), and each row holds
-    s_g there, clamped at its own block's end r (k + 1) + k: a generation is one
-    ``take``.  A row's counts are exact up to the first generation whose batch
-    ends past the block, 2 (N_0 + .. + N_gen) > k, so each chunk reads off its own
-    counts which rows ran past and where; gen >= 1, as the root fits any block.
+    Rows are drawn in chunks sized by the largest block, and each job tallies a span of
+    whole chunks sized by its own, one generation at a time for all of them.  Generation g
+    of a sample reads nodes s_g .. s_g + N_g - 1 of its block, so with S[j] = C + 2^16 D for
+    the open edges C < 2^16 and the leaves D among its first j nodes, N_{g+1} + 2^16 L_g is
+    S at s_g + N_g less S at s_g.  The span's sums lie flat, row r's from r (k/2 + 1), and
+    each row holds s_g there, clamped at its block's end: a generation is one ``take``.  A
+    row's counts are exact up to the first generation whose batch ends past the block,
+    2 (N_0 + .. + N_gen) > k, so each span reads off which rows ran past and where; gen >= 1,
+    as the root fits any block.  A live row spends a node a generation, so by generation
+    k/2 each row is extinct or past its block, and the rest count zero untallied.
     """
     if len(rows) == 0:
         return [(rows, np.empty((0, 3), int))] * len(jobs)
-    outs = [([], []) for _ in jobs]
     top = max(k for _, k, *_ in jobs)
     chunk = min(len(rows), _CHUNK_UNIFORMS // top)
-    uniforms = np.ndarray((chunk, top - start), buffer=bufs[0])
+    spans = [min(len(rows), _CHUNK_UNIFORMS // k // chunk * chunk) for _, k, *_ in jobs]
+    # a span of each job's flags fills a chunk at a time, and spans are tallied one at a time
+    work = [(np.empty((span, k), bool), [], []) for span, (_, k, *_) in zip(spans, jobs)]
+    uniforms, weight = np.empty((chunk, top - start)), np.zeros(258, np.int32)
+    # a node's two flags read as one 16-bit word: its open edges, plus 2**16 if it is a leaf
+    weight[[0, 1, 256, 257]] = 1 << 16, 1, 1, 2
     for lo in range(0, len(rows), chunk):
-        batch = rows[lo : lo + chunk]
-        n = len(batch)
-        for r, i in enumerate(batch.tolist()):
+        hi = min(lo + chunk, len(rows))
+        for r, i in enumerate(rows[lo:hi].tolist()):
             streams.at(i, start).random(out=uniforms[r])
-        for (p, k, nodes, leaves, last), (outgrown, carry) in zip(jobs, outs):
-            shapes = (chunk, k), (chunk, k + 1, 2), (chunk, depth, 2)
-            flags, prefix, gen_tallies = map(np.ndarray, shapes, (bool, np.int32, int), bufs[1:])
+        for (p, k, nodes, leaves, last), (flags, outgrown, carry) in zip(jobs, work):
+            at = lo % len(flags)
             if start:
-                flags[:n, :start] = np.unpackbits(held[lo : lo + n], axis=1, count=start)
-            np.less(uniforms[:n, : k - start], p, out=flags[:n, start:])
-            np.cumsum(flags[:n], axis=1, out=prefix[:n, 1:, 0])
-            # a node's two flags read as one 16-bit word are zero iff it is a leaf
-            np.cumsum(flags[:n].view(np.uint16) == 0, axis=1, out=prefix[:n, 2::2, 1])
-            pairs, first = prefix.reshape(-1, 2), np.arange(n) * (k + 1)
-            # (C, D) at 0 is (0, 0), never gathered: every sample reads its root's flags
-            before, stops, count = 0, first + k, np.ones(n, dtype=np.int32)
-            for g in range(depth):
+                flags[at : at + hi - lo, :start] = np.unpackbits(held[lo:hi], axis=1, count=start)
+            np.less(uniforms[: hi - lo, : k - start], p, out=flags[at : at + hi - lo, start:])
+            if hi % len(flags) and hi < len(rows):  # a span is tallied once full
+                continue
+            n, batch, gens = at + hi - lo, rows[lo - at : hi], min(depth, k // 2)
+            sums, counts = np.empty((n, k // 2 + 1), np.int32), np.empty((n, gens), np.int32)
+            np.cumsum(weight.take(flags[:n].view(np.uint16)), axis=1, out=sums[:, 1:])
+            first = np.arange(n) * (k // 2 + 1)
+            # S[0] = 0 is never gathered: every sample reads its root's flags
+            before, stops, count = 0, first + k // 2, np.ones(n, dtype=np.int32)
+            for g in range(gens):
                 # rows past their block read garbage here, redone by a later pass or the resume
-                first = np.minimum(first + 2 * count, stops)
-                at_end = pairs.take(first, axis=0)
-                np.subtract(at_end, before, out=gen_tallies[:n, g])
-                count, before = gen_tallies[:n, g, 0], at_end
-            nodes[batch, 1:] = gen_tallies[:n, :, 0]
-            leaves[batch] = gen_tallies[:n, :, 1]
-            ends = 2 * np.cumsum(nodes[batch, :depth], axis=1)
+                first = np.minimum(first + count, stops)
+                at_end = sums.take(first)
+                np.subtract(at_end, before, out=counts[:, g])
+                count, before = counts[:, g] & 0xFFFF, at_end
+            nodes[batch, 1 : gens + 1] = counts & 0xFFFF
+            leaves[batch, :gens] = counts >> 16
+            nodes[batch, gens + 1 :] = leaves[batch, gens:] = 0
+            ends = 2 * np.cumsum(nodes[batch, : min(depth, gens + 1)], axis=1)
             past = ends[:, -1] > k
             outgrown.append(batch[past])
             if last:
@@ -275,7 +281,7 @@ def _tally_blocks(jobs, depth, streams, rows, start, held, bufs):
                 carry.append(np.stack([gen, ends[past, gen - 1], nodes[batch[past], gen]], axis=1))
             else:
                 carry.append(np.packbits(flags[:n][past], axis=1))
-    return [(np.concatenate(outgrown), np.concatenate(carry)) for outgrown, carry in outs]
+    return [(np.concatenate(outgrown), np.concatenate(carry)) for _, outgrown, carry in work]
 
 
 def grid_tallies(grid: list[ModelParams], depth_bound: int, seed: int, samples: int):
@@ -290,17 +296,12 @@ def grid_tallies(grid: list[ModelParams], depth_bound: int, seed: int, samples: 
     out = [(np.ones((samples, depth + 1), int), np.empty((samples, depth), int)) for _ in cells]
     if depth == 0 or not cells:
         return out
-    # chunk buffers for all passes, sized by the smallest block (shared first or a continuation)
-    smallest = min(max(s[0] for _, s in cells), *(s[-1] for _, s in cells))
-    rows = min(samples, _CHUNK_UNIFORMS // smallest)
-    bufs = np.empty(_CHUNK_UNIFORMS), np.empty(_CHUNK_UNIFORMS, dtype=bool)
-    bufs += np.empty(2 * (_CHUNK_UNIFORMS + rows), np.int32), np.empty(2 * rows * depth, int)
     jobs = [(p, s[0], *t, len(s) == 1) for (p, s), t in zip(cells, out)]
-    passes = _tally_blocks(jobs, depth, streams, np.arange(samples), 0, None, bufs)
+    passes = _tally_blocks(jobs, depth, streams, np.arange(samples), 0, None)
     for (p, _, nodes, leaves, _), (rest, carry), (_, s) in zip(jobs, passes, cells):
         for start, k in zip(s, s[1:]):
             job = p, k, nodes, leaves, k == s[-1]
-            [(rest, carry)] = _tally_blocks([job], depth, streams, rest, start, carry, bufs)
+            [(rest, carry)] = _tally_blocks([job], depth, streams, rest, start, carry)
         # T(0) = -1 is no uint64, but p = 0 never resumes: its root's two uniforms fit any block
         top = np.uint64(_raw_threshold(p)) if p else None
         for i, (gen, offset, count) in zip(rest.tolist(), carry.tolist()):

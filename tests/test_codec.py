@@ -146,6 +146,8 @@ def test_decode_matches_the_bit_by_bit_reference(p, depth):
         last = len(bits) - len(book.words[symbols[-1]])
         messages = [bits] + [bits[:cut] for cut in range(last, len(bits))]
         messages += [bits[:i] + "10"[int(bits[i])] + bits[i + 1 :] for i in range(len(bits))]
+        # a non-bit character first, in the middle and last
+        messages += ["2" + bits, bits[: len(bits) // 2] + "x" + bits[len(bits) // 2 :], bits + " "]
         for message in messages:
             want = decode_outcome(reference_decode, book, message)
             assert decode_outcome(decode, book, message) == want

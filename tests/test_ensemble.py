@@ -263,7 +263,8 @@ def block_walk(params, depth, samples, seed, block):
 # single samples, large seeds, several chunks of samples, samples that fit
 # their first block of uniforms and samples that outgrow it; in the cells at
 # (0.7, 18), (0.9, 14) and depth 30 some outgrow their last block and resume
-# at a counter position (see the next test)
+# at a counter position (see the next test); at (0.3, 40) both blocks, of 12
+# and 48 uniforms, stop their lockstep at generation k/2, short of the depth
 @pytest.mark.parametrize(
     "p, depth, samples, seed",
     [
@@ -274,6 +275,7 @@ def block_walk(params, depth, samples, seed, block):
         (0.55, 14, 200, 2**63 + 1),
         (0.7, 18, 40, 2**63 - 1),
         (0.3, 5, 500, 2**64 - 1),
+        (0.3, 40, 300, 2**64 - 1),
         (0.0, 3, 20, 5),
         (1.0, 4, 10, 2**62),
         (0.5, 30, 400, 3),

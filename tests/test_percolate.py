@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -515,6 +516,11 @@ _EDGE_PS = [0.0, 5e-324, 2.0**-53, 0.45, 0.6, 1 - 2.0**-53, 1.0]
 # when drawn alone; p = 1's first block is the 1024 cap, so the first pass
 # they share takes 64 a chunk
 @example(ps=[0.6, 0.45, 0.6, 1.0, 0.0], depth=16, seed=2**64 - 1, samples=187)
+# p = 0.45 has a first block of 32 and tallies spans of 2048 rows, 32 chunks of
+# p = 0.75's 64: one row short of a span, a whole span, and one row into the next
+@example(ps=[0.45, 0.75], depth=12, seed=7, samples=2047)
+@example(ps=[0.45, 0.75], depth=12, seed=7, samples=2048)
+@example(ps=[0.45, 0.75], depth=12, seed=7, samples=2049)
 @example(ps=[1.0, 0.9, 1.0], depth=9, seed=0, samples=65)
 @settings(max_examples=40, deadline=None)
 @given(
@@ -593,6 +599,19 @@ def test_lockstep_passes_key_each_stream_once_per_block(monkeypatch, p, depth, s
     # and draws exactly the words of generations g .. depth - 1, two per node
     assert [call[2] for call in rest] == resumed_words
     assert sorted(i for i, position, _ in calls if position == 0) == list(range(samples))
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3])
+def test_deep_tallies_hold_little_beyond_the_tallies(p):
+    # a live row spends a node a generation, so a block of k uniforms is tallied for
+    # k/2 generations at most: no buffer of a chunk spans all 300
+    tracemalloc.start()
+    try:
+        [(nodes, leaves)] = grid_tallies([ModelParams(p)], 300, 7, 20000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < nodes.nbytes + leaves.nbytes + 8 * 2**20
 
 
 def test_lockstep_last_block_edge_cell_has_a_sample_reading_exactly_its_last_block():

@@ -18,11 +18,13 @@ Exit codes: 0 success, 2 usage error, 1 domain/runtime error, including
 an allocation the machine cannot make.  Every run logs its full
 parameter set and the RNG version tag to stderr.  Seeds default to the
 fixed constant ``DEFAULT_SEED`` so bare invocations are reproducible.
+``build_parser`` builds the parser once per process, and each ``main`` reuses it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -179,7 +181,9 @@ def _cell(depth: int) -> argparse.ArgumentParser:
     return cell
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reads, built once and shared: parse with it, never modify it."""
     parser = argparse.ArgumentParser(
         prog="perccode",
         description="Percolation clusters on perfect binary trees as prefix codes.",

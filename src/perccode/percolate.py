@@ -9,9 +9,11 @@ spawns nothing and never counts as a leaf.
 Randomness comes from counter-based streams: sample ``i`` of master seed
 ``s`` draws from an independent Philox stream keyed by ``(s, i)``, so a
 cluster is a pure function of ``(seed, index, p, depth_bound)`` however
-calls are scheduled.  Per generation a single batch of ``2 * N_g``
-uniforms is consumed, nodes in breadth-first order, each node's left edge
-value before its right edge value; an edge is open iff its value is < p.
+calls are scheduled.  A stream's Philox is handed its key and a shared zero
+counter ready-made, so keying converts nothing.  Per generation a single
+batch of ``2 * N_g`` uniforms is consumed, nodes in breadth-first order,
+each node's left edge value before its right edge value; an edge is open
+iff its value is < p.
 :func:`sample_tallies` tallies samples ``0 .. n - 1`` of a seed at once
 from the same streams, with the same numbers as :func:`sample_tally`.
 """
@@ -19,6 +21,7 @@ from the same streams, with the same numbers as :func:`sample_tally`.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +54,10 @@ RNG_VERSION = "philox-key64x2/v1"
 # draw alone is 128 MiB, and a supercritical frontier (p = 0.9 grows about
 # 1.8x per generation) would otherwise grow until memory runs out.
 MAX_GENERATION_UNIFORMS = 1 << 24
+
+# The counter of a new stream, ready-made: NumPy converts a Python int to 4 words slowly.
+_ZERO_COUNTER = np.zeros(4, np.uint64)
+_ZERO_COUNTER.flags.writeable = False
 
 
 # compared by identity: a generated == on lists of arrays would raise
@@ -97,13 +104,15 @@ class _Key(np.random.bit_generator.ISeedSequence):
         self.key = key
 
     def generate_state(self, n_words, dtype=np.uint32):
+        if (n_words, dtype) != (2, np.uint64):  # any other request would key another stream
+            raise RuntimeError(f"Philox asked for {n_words} words of {dtype}, not its 2-word key")
         return self.key
 
 
 def _philox_stream(seed: int, index: int) -> np.random.Generator:
-    # an unsigned array keeps every 64-bit value exact; NumPy converts a list
-    # holding a Python int >= 2**63 through float64
-    return np.random.Generator(np.random.Philox(_Key(np.array([seed, index], dtype=np.uint64))))
+    # a uint64 key stays exact: NumPy converts a list's ints >= 2**63 through float64
+    key = _Key(np.array([seed, index], dtype=np.uint64))
+    return np.random.Generator(np.random.Philox(key, counter=_ZERO_COUNTER))
 
 
 def cluster_stream(seed: int, index: int) -> np.random.Generator:
@@ -288,9 +297,19 @@ def grid_tallies(grid: list[ModelParams], depth_bound: int, seed: int, samples: 
     """``sample_tallies(params, depth_bound, seed, samples)`` of each ``params`` of ``grid``,
     in a list.  Sample i reads one stream at every p, so it is keyed and draws a first block
     once for all of them: the largest, which each p reads its own off.  Each p then continues
-    and resumes its outgrown samples on its own; every p's tallies are held at once."""
+    and resumes its outgrown samples on its own; every p's tallies are held at once.  A grid
+    whose tallies, with the row keys ``row_measures`` makes of one p's, exceed physical memory
+    raises ``MemoryError`` before any stream is keyed."""
     if depth_bound < 0:
         raise ValueError(f"depth_bound must be >= 0, got {depth_bound}")
+    _check_key(seed, max(samples - 1, 0))  # a bad key is reported before the size
+    try:  # physical memory in bytes, 0 where os.sysconf cannot report it
+        memory = max(os.sysconf("SC_PHYS_PAGES"), 0) * max(os.sysconf("SC_PAGE_SIZE"), 0)
+    except (AttributeError, ValueError, OSError):
+        memory = 0
+    need = 8 * samples * (len(grid) * (2 * depth_bound + 1) + depth_bound) if grid else 0
+    if need > memory > 0:
+        raise MemoryError(f"the tallies need {need} bytes, over the {memory} of physical memory")
     depth, streams = depth_bound, SampleStreams(seed, samples)
     cells = [(params.p, _block_sizes(params.p, depth)) for params in grid]
     out = [(np.ones((samples, depth + 1), int), np.empty((samples, depth), int)) for _ in cells]

@@ -1,6 +1,7 @@
 import argparse
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from perccode.ensemble import CSV_COLUMNS
 from perccode.percolate import Cluster, cluster_to_json
 
 from conftest import SEVEN_LEAF_WORDS, cluster_from_codewords
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -439,6 +442,72 @@ def test_impossible_sample_count_exits_one(capsys, command):
     assert code == 1
     assert out == ""
     assert f"perccode {command}: error:" in err and "Traceback" not in err
+
+
+# a grid of 2 p x 1000 samples to depth 12 needs 8 * 1000 * (2 * 25 + 12) = 496,000 bytes
+PAGES = {"SC_PHYS_PAGES": 100, "SC_PAGE_SIZE": 4096}
+
+
+@pytest.mark.parametrize("samples, fits", [(1000, False), (800, True)])
+def test_sweep_larger_than_memory_exits_one_before_keying_a_stream(
+    capsys, monkeypatch, samples, fits
+):
+    # 100 pages of 4096 bytes: 409,600 bytes, under 1000 samples' tallies and over 800's
+    monkeypatch.setattr(percolate.os, "sysconf", PAGES.__getitem__)
+    keyed, philox_stream = [], percolate._philox_stream
+    monkeypatch.setattr(
+        percolate, "_philox_stream", lambda *key: keyed.append(key) or philox_stream(*key)
+    )
+    argv = ["sweep", "--p", "0.5", "--p", "0.6", "--depth", "12", "--samples", str(samples)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, bool(keyed), "[sweep]" in err) == ((0, True, True) if fits else (1, False, False))
+    if not fits:
+        assert out == ""
+        assert "need 496000 bytes, over the 409600 of physical memory" in err
+
+
+@pytest.mark.parametrize("sysconf", [-1, ValueError, OSError], ids=["unknown", "no-name", "fails"])
+def test_sweep_runs_where_physical_memory_is_unknown(capsys, monkeypatch, sysconf):
+    def unknown(name):
+        if sysconf == -1:
+            return -1
+        raise sysconf(name)
+
+    monkeypatch.setattr(percolate.os, "sysconf", unknown)
+    code, out, _ = run_cli(capsys, "sweep", "--p", "0.5", "--depth", "4", "--samples", "20")
+    assert code == 0 and len(out.splitlines()) == 3
+
+
+def test_main_runs_again_in_one_process(capsys, monkeypatch, tmp_path):
+    # the parser is built once and shared: no flag, default or --cluster note
+    # of one call may reach the next
+    document = str(GOLDEN / "sample-p0.7-d9-s11-i3.json")
+    book = (GOLDEN / "codebook-p0.7-d9-s11-i3.txt").read_text(encoding="ascii")
+    assert run_cli(capsys, "codebook", "--cluster", document)[:2] == (0, book)
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["codebook", "--cluster", document, "--seed", "2"])
+    assert exc.value.code == 2
+    assert "not allowed with --seed" in capsys.readouterr().err
+    sampled = ["codebook", "--p", "0.7", "--depth", "9", "--seed", "11", "--index", "3"]
+    assert run_cli(capsys, *sampled)[:2] == (0, book)
+    grid = ["sweep", "--p", "0.5", "--p", "0.6", "--depth", "4", "--depth", "6", "--samples", "30"]
+    first, second = run_cli(capsys, *grid), run_cli(capsys, *grid)
+    assert first[:2] == second[:2] and first[0] == 0 and len(first[1].splitlines()) == 2 + 4
+    # the logged parameters, not the timings, of the two calls agree
+    assert first[2].splitlines()[0] == second[2].splitlines()[0]
+    assert "depth=[4, 6] out=None p=[0.5, 0.6]" in second[2]
+    path = tmp_path / "grid.csv"
+    assert run_cli(capsys, *grid, "--out", str(path))[:2] == (0, "")
+    assert path.read_text(encoding="ascii") == run_cli(capsys, *grid)[1] == first[1]
+    assert built == []
 
 
 def test_repeated_codeword_exits_one(capsys, tmp_path):

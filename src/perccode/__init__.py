@@ -51,7 +51,6 @@ from .percolate import (
     sample_cluster,
     sample_tallies,
     sample_tally,
-    survived,
     tally,
 )
 

@@ -132,7 +132,8 @@ def row_measures(leaves: np.ndarray, p: float, depths: Iterable[int]) -> Iterato
     ``depths`` in turn: an ``(n, 3)`` float array made as it is asked for,
     equal to :func:`measures` row by row, with NaN for its None.
 
-    Each distinct row, keyed by its bytes, is measured once.  One cascade of
+    Each distinct row, keyed by its bytes in the matrix's own dtype and
+    widened to int64, is measured once.  One cascade of
     :func:`_certified_sums` gives Lambda and the length numerator at every
     cut, and a cut below the deepest re-measures only the rows with a leaf
     past it.  NumPy does only products, quotients and differences, which round
@@ -145,14 +146,14 @@ def row_measures(leaves: np.ndarray, p: float, depths: Iterable[int]) -> Iterato
     if leaves.shape[1] == 0:
         # leafless, as a zero column says too, which unlike a 0-byte row has a key
         leaves = np.zeros((len(leaves), 1), dtype=np.int64)
-    leaves = np.ascontiguousarray(leaves[:, : max(cuts[-1], 1)], dtype=np.int64)
+    leaves = np.ascontiguousarray(leaves[:, : max(cuts[-1], 1)])
     n_rows, depth = leaves.shape
     row_bytes = np.dtype((np.void, leaves.itemsize * depth))
     distinct, inverse = {}, np.empty(n_rows, dtype=np.intp)
     for lo in range(0, n_rows, _KEYED_ROWS):
         keys = leaves[lo : lo + _KEYED_ROWS].view(row_bytes).ravel().tolist()
         inverse[lo : lo + len(keys)] = [distinct.setdefault(key, len(distinct)) for key in keys]
-    counts = np.frombuffer(b"".join(distinct), dtype=np.int64).reshape(-1, depth)
+    counts = np.frombuffer(b"".join(distinct), leaves.dtype).astype(np.int64).reshape(-1, depth)
     if depth > 1 and counts.max(initial=0) > np.iinfo(np.int64).max // (depth - 1):
         raise ValueError(f"a leaf count past 2**63 / {depth - 1} overflows n * L_n in int64")
     powers = np.array([p**n for n in range(depth)])

@@ -40,7 +40,6 @@ __all__ = [
     "sample_tallies",
     "grid_tallies",
     "tally",
-    "survived",
     "cluster_to_json",
     "cluster_from_json",
     "cluster_to_dot",
@@ -174,7 +173,7 @@ def sample_cluster(params: ModelParams, depth_bound: int, stream) -> Cluster:
     for gen in range(depth_bound):
         if 2 * count > MAX_GENERATION_UNIFORMS:
             raise _over_cap(gen, count)
-        flags = stream.random(2 * count) < p
+        flags = np.less(stream.random(2 * count), p)
         opens.append(flags)
         count = int(np.count_nonzero(flags))
         if count == 0:
@@ -296,10 +295,11 @@ def _tally_blocks(jobs, depth, streams, rows, start, held):
 def grid_tallies(grid: list[ModelParams], depth_bound: int, seed: int, samples: int):
     """``sample_tallies(params, depth_bound, seed, samples)`` of each ``params`` of ``grid``,
     in a list.  Sample i reads one stream at every p, so it is keyed and draws a first block
-    once for all of them: the largest, which each p reads its own off.  Each p then continues
-    and resumes its outgrown samples on its own; every p's tallies are held at once.  A grid
-    whose tallies, with the row keys ``row_measures`` makes of one p's, exceed physical memory
-    raises ``MemoryError`` before any stream is keyed."""
+    once for all of them: the largest.  Each p tallies as much of it as its own blocks would
+    draw and continues only past its end, so no continuation draws a uniform twice; a one-p
+    grid keeps its blocks.  Each p's outgrown samples then resume on their own; every p's
+    tallies are held at once.  A grid whose tallies, with the row keys ``row_measures`` makes
+    of one p's, exceed physical memory raises ``MemoryError`` before any stream is keyed."""
     if depth_bound < 0:
         raise ValueError(f"depth_bound must be >= 0, got {depth_bound}")
     _check_key(seed, max(samples - 1, 0))  # a bad key is reported before the size
@@ -307,12 +307,16 @@ def grid_tallies(grid: list[ModelParams], depth_bound: int, seed: int, samples: 
         memory = max(os.sysconf("SC_PHYS_PAGES"), 0) * max(os.sysconf("SC_PAGE_SIZE"), 0)
     except (AttributeError, ValueError, OSError):
         memory = 0
-    need = 8 * samples * (len(grid) * (2 * depth_bound + 1) + depth_bound) if grid else 0
+    need = 4 * samples * (len(grid) * (2 * depth_bound + 1) + depth_bound) if grid else 0
     if need > memory > 0:
         raise MemoryError(f"the tallies need {need} bytes, over the {memory} of physical memory")
     depth, streams = depth_bound, SampleStreams(seed, samples)
     cells = [(params.p, _block_sizes(params.p, depth)) for params in grid]
-    out = [(np.ones((samples, depth + 1), int), np.empty((samples, depth), int)) for _ in cells]
+    # each p reads as much of the shared first block as it would draw, and continues past it
+    shared = max((s[0] for _, s in cells), default=0)
+    cells = [(p, (min(s[-1], shared),) + tuple(k for k in s if k > shared)) for p, s in cells]
+    out = [(np.ones((samples, depth + 1), np.int32), np.empty((samples, depth), np.int32))
+           for _ in cells]
     if depth == 0 or not cells:
         return out
     jobs = [(p, s[0], *t, len(s) == 1) for (p, s), t in zip(cells, out)]
@@ -342,10 +346,11 @@ def sample_tallies(
     params: ModelParams, depth_bound: int, seed: int, samples: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Tallies of samples ``0 .. samples - 1`` of master ``seed`` at once:
-    int64 arrays ``nodes`` of the node counts N_0 .. N_depth_bound and
+    int32 arrays ``nodes`` of the node counts N_0 .. N_depth_bound and
     ``leaves`` of the leaf counts L_0 .. L_{depth_bound - 1}, one row per
     sample, row ``i`` the ``node_counts`` and ``leaf_counts`` of
-    ``sample_tally(params, depth_bound, cluster_stream(seed, i))``.
+    ``sample_tally(params, depth_bound, cluster_stream(seed, i))``; under
+    ``MAX_GENERATION_UNIFORMS`` no count exceeds 2^24.
     Generation g reads uniforms ``2 * sum_{h<g} N_h`` on whatever the depth
     bound, so cut to ``nodes[:, :d + 1]`` and ``leaves[:, :d]`` these are
     the tallies at depth bound ``d``.  Depth bound 0 draws nothing.  This is
@@ -380,11 +385,6 @@ def tally(cluster: Cluster) -> GenerationTally:
     return GenerationTally(
         depth_bound=depth, node_counts=node_counts, leaf_counts=leaf_counts
     )
-
-
-def survived(t: GenerationTally) -> bool:
-    """True iff the cluster still has nodes at the depth bound."""
-    return t.node_counts[t.depth_bound] > 0
 
 
 def cluster_to_json(cluster: Cluster) -> dict:

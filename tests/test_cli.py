@@ -435,7 +435,7 @@ def test_ensemble_out_writes_the_stdout_json(capsys, tmp_path):
 
 @pytest.mark.parametrize("command", ["ensemble", "sweep"])
 def test_impossible_sample_count_exits_one(capsys, command):
-    # the first array of a 10^15-sample cell is 8 PB, so allocation fails at once
+    # the tallies of a 10^15-sample cell take petabytes, so the cell is refused at once
     code, out, err = run_cli(
         capsys, command, "--p", "0.5", "--depth", "4", "--samples", str(10**15)
     )
@@ -444,15 +444,15 @@ def test_impossible_sample_count_exits_one(capsys, command):
     assert f"perccode {command}: error:" in err and "Traceback" not in err
 
 
-# a grid of 2 p x 1000 samples to depth 12 needs 8 * 1000 * (2 * 25 + 12) = 496,000 bytes
+# a grid of 2 p x 2000 samples to depth 12 needs 4 * 2000 * (2 * 25 + 12) = 496,000 bytes
 PAGES = {"SC_PHYS_PAGES": 100, "SC_PAGE_SIZE": 4096}
 
 
-@pytest.mark.parametrize("samples, fits", [(1000, False), (800, True)])
+@pytest.mark.parametrize("samples, fits", [(2000, False), (1600, True)])
 def test_sweep_larger_than_memory_exits_one_before_keying_a_stream(
     capsys, monkeypatch, samples, fits
 ):
-    # 100 pages of 4096 bytes: 409,600 bytes, under 1000 samples' tallies and over 800's
+    # 100 pages of 4096 bytes: 409,600 bytes, under 2000 samples' tallies and over 1600's
     monkeypatch.setattr(percolate.os, "sysconf", PAGES.__getitem__)
     keyed, philox_stream = [], percolate._philox_stream
     monkeypatch.setattr(

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from perccode.codec import (
     parse_codebook,
     symbol_labels,
 )
-from perccode.percolate import cluster_stream, sample_cluster, tally
+from perccode.percolate import cluster_stream, sample_cluster, sample_tallies, tally
 
 from conftest import SEVEN_LEAF_WORDS, cluster_from_codewords
 
@@ -288,3 +289,69 @@ def test_bernoulli_weights_guards(seven_leaf_book):
 
 def test_generations_equal_word_lengths(seven_leaf_book):
     assert seven_leaf_book.generations() == (2, 4, 4, 4, 4, 3, 4)
+
+
+def kraft_split(p, depth: int):
+    """``(E[K_d], E[K_d; N_d = 0], P(N_d = 0))`` for the Kraft sum K_d = sum_n L_n 2^-n of a
+    cluster at depth bound d.  E[L_n] = q^2 (2p)^n gives E[K_d] = q (1 - p^d).  The root is
+    a leaf with K = 1 w.p. q^2, else K is half each side's, a closed side 0 and dead, so
+    A_d = q^2 + p A_{d-1} (q + p rho_{d-1}) and rho_d = q^2 + 2pq rho_{d-1} + p^2 rho_{d-1}^2,
+    from A_0 = rho_0 = 0."""
+    q, dead_mean, dead = 1 - p, 0, 0
+    for _ in range(depth):
+        dead_mean, dead = q * q + p * dead_mean * (q + p * dead), (q + p * dead) ** 2
+    return q * (1 - p**depth), dead_mean, dead
+
+
+def enumerated_kraft_split(p, depth: int):
+    """``kraft_split`` summed over every configuration of the 2^(d+1) - 2 edges of the
+    depth-d tree: edge e joins heap node e // 2 to node e + 1, node v lies at generation
+    bit_length(v + 1) - 1, and a live node above the bound with both edges closed is a leaf."""
+    n_edges = 2 ** (depth + 1) - 2
+    gen = [(v + 1).bit_length() - 1 for v in range(n_edges + 1)]
+    groups = {}  # (open edges, 2^d K, dead at d) -> configurations
+    for mask in range(1 << n_edges):
+        live = [True] + [False] * n_edges
+        for e in range(n_edges):
+            live[e + 1] = live[e // 2] and bool(mask >> e & 1)
+        kraft = sum(
+            2 ** (depth - gen[v])
+            for v in range(n_edges // 2)
+            if live[v] and not mask >> 2 * v & 3
+        )
+        dead = not any(live[n_edges // 2 :])
+        key = (bin(mask).count("1"), kraft, dead)
+        groups[key] = groups.get(key, 0) + 1
+    mean = dead_mean = dead_mass = 0
+    for (opened, kraft, dead), count in groups.items():
+        weight = count * p**opened * (1 - p) ** (n_edges - opened)
+        mean += weight * Fraction(kraft, 2**depth)
+        dead_mean += dead * weight * Fraction(kraft, 2**depth)
+        dead_mass += dead * weight
+    return mean, dead_mean, dead_mass
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+@pytest.mark.parametrize("p", ["0", "0.3", "0.5", "0.6", "0.9", "1"])
+def test_kraft_split_by_survival_is_the_enumerated_one(p, depth):
+    p = Fraction(p)
+    assert kraft_split(p, depth) == enumerated_kraft_split(p, depth)
+
+
+@pytest.mark.parametrize("p, depth", [(0.6, 30), (0.55, 40)])
+def test_sampled_kraft_split_by_survival_is_the_exact_one(p, depth):
+    nodes, leaves = sample_tallies(ModelParams(p), depth, 11, 10000)
+    kraft = leaves @ 2.0 ** -np.arange(depth)
+    dead = nodes[:, depth] == 0
+    for sampled, exact in zip([kraft, dead * kraft, dead], kraft_split(p, depth)):
+        se = sampled.std(ddof=1) / math.sqrt(len(sampled))
+        assert abs(sampled.mean() - exact) <= 4 * se, (sampled.mean(), exact, se)
+
+
+def test_kraft_sum_of_a_sampled_book_is_its_tallys():
+    m, depth, seed = ModelParams(0.55), 16, 11
+    _, leaves = sample_tallies(m, depth, seed, 200)
+    for i, row in enumerate(leaves.tolist()):
+        book = extract_codebook(sample_cluster(m, depth, cluster_stream(seed, i)))
+        # a sum of multiples of 2^-16 up to 1 is exact in floating point
+        assert kraft_sum(book) == sum(Fraction(count, 2**n) for n, count in enumerate(row))

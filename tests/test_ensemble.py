@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from perccode import analytic, cli, ensemble, percolate
+from perccode import analytic, cli, ensemble, oracle, percolate
 from perccode.analytic import DomainError, ModelParams, pgf_iterate
 from perccode.ensemble import (
     CSV_COLUMNS,
@@ -387,3 +387,39 @@ def test_one_cell_path_logs_no_sweep_line(capsys):
         f"[perccode ensemble] rng={percolate.RNG_VERSION} command=ensemble"
         " depth=4 out=None p=0.5 samples=10 seed=1\n"
     )
+
+
+def _variance_z(s2: float, law: np.ndarray, var: float, n: int) -> float:
+    """How many standard deviations the sample variance ``s2`` of ``n`` draws lies
+    from ``var``, the exact variance of the law ``law[k] = P(X = k)``: the sample
+    variance has variance mu4 / n - var^2 (n - 3) / (n (n - 1))."""
+    k = np.arange(len(law))
+    mu4 = float(law @ (k - law @ k) ** 4)
+    return (s2 - var) / math.sqrt(mu4 / n - var * var * (n - 3) / (n * (n - 1)))
+
+
+@pytest.mark.parametrize("seed", [5, 77, 2**64 - 1])
+@pytest.mark.parametrize("p", [0.45, 0.5, 0.6])
+def test_printed_standard_errors_carry_the_exact_variances(p, seed):
+    # se^2 * samples is the sample variance of N_12 and of each L_n; it must lie
+    # within 4 SD of the exact variance, its fourth moment from the oracle's laws
+    m, depth, samples = ModelParams(p), 12, 20000
+    stats = run_ensemble(m, depth, samples, seed)
+    z = [
+        _variance_z(
+            stats.se_N_final**2 * samples,
+            oracle.node_distribution(m, depth),
+            analytic.node_moments(m, depth).variance,
+            samples,
+        )
+    ]
+    for n in range(1, 7):
+        z.append(
+            _variance_z(
+                stats.se_leaf_counts[n] ** 2 * samples,
+                oracle.joint_leaf_distribution(m, n).sum(axis=0),
+                analytic.leaf_moments(m, n).var,
+                samples,
+            )
+        )
+    assert max(map(abs, z)) < 4.0, z

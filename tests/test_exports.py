@@ -84,3 +84,28 @@ def test_ensemble_draws_only_through_grid_tallies():
         "grid_tallies",
     ]
     assert ("perccode", "percolate") not in imports
+
+
+def test_every_name_the_benchmark_reads_off_the_package_exists():
+    # the benchmark calls the program through module attributes
+    # (``percolate.sample_tally``): a renamed one fails its run, so it fails here first
+    bench = Path(__file__).parents[1] / "perfbench"
+    missing, read = [], 0
+    for source in ("workloads.py", "run.py"):
+        tree = ast.parse((bench / source).read_text(encoding="utf-8"))
+        modules = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "perccode":
+                modules.update({a.asname or a.name: f"perccode.{a.name}" for a in node.names})
+            elif isinstance(node, ast.Import):
+                named = [a for a in node.names if a.name == "perccode"]
+                modules.update({a.asname or a.name: a.name for a in named})
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                module = modules.get(node.value.id)
+                if module is not None:
+                    read += 1
+                    if not hasattr(importlib.import_module(module), node.attr):
+                        missing.append(f"{source}: {module}.{node.attr}")
+    assert read > 10
+    assert missing == []

@@ -21,7 +21,6 @@ from perccode.percolate import (
     sample_cluster,
     sample_tallies,
     sample_tally,
-    survived,
     tally,
 )
 
@@ -129,27 +128,27 @@ def test_tally_root_only():
     t = tally(c)
     assert t.node_counts == [1, 0, 0, 0, 0]
     assert t.leaf_counts == [1, 0, 0, 0]
-    assert not survived(t)
+    assert not t.node_counts[t.depth_bound] > 0
 
 
 def test_tally_seven_leaf_fixture(seven_leaf_cluster):
     t = tally(seven_leaf_cluster)
     assert t.node_counts == [1, 2, 4, 4, 5, 0]
     assert t.leaf_counts == [0, 0, 1, 1, 5]
-    assert not survived(t)
+    assert not t.node_counts[t.depth_bound] > 0
 
 
 def test_full_tree_has_no_leaves():
     t = tally(sample_cluster(ModelParams(1.0), 3, cluster_stream(1, 0)))
     assert t.leaf_counts == [0, 0, 0]
-    assert survived(t)
+    assert t.node_counts[t.depth_bound] > 0
 
 
 def test_depth_zero_cluster():
     t = tally(sample_cluster(ModelParams(0.7), 0, cluster_stream(1, 0)))
     assert t.node_counts == [1]
     assert t.leaf_counts == []
-    assert survived(t)  # the root itself sits at the depth bound
+    assert t.node_counts[t.depth_bound] > 0  # the root itself sits at the depth bound
 
 
 def test_determinism_and_stream_independence():
@@ -445,7 +444,7 @@ def test_sample_streams_reject_out_of_range_keys():
 def test_sample_tallies_match_sample_tally(p, depth, seed, samples):
     m = ModelParams(p)
     nodes, leaves = sample_tallies(m, depth, seed, samples)
-    assert nodes.dtype == leaves.dtype == np.int64
+    assert nodes.dtype == leaves.dtype == np.int32
     assert nodes.shape == (samples, depth + 1) and leaves.shape == (samples, depth)
     for i in range(samples):
         t = sample_tally(m, depth, cluster_stream(seed, i))
@@ -514,10 +513,14 @@ _EDGE_PS = [0.0, 5e-324, 2.0**-53, 0.45, 0.6, 1 - 2.0**-53, 1.0]
 
 # p = 0.6 at depth 16 has a first block of 352 uniforms, 186 samples a chunk
 # when drawn alone; p = 1's first block is the 1024 cap, so the first pass
-# they share takes 64 a chunk
+# they share takes 64 a chunk, and p = 0.6 tallies its whole last block from it
 @example(ps=[0.6, 0.45, 0.6, 1.0, 0.0], depth=16, seed=2**64 - 1, samples=187)
-# p = 0.45 has a first block of 32 and tallies spans of 2048 rows, 32 chunks of
-# p = 0.75's 64: one row short of a span, a whole span, and one row into the next
+# p = 0.45's blocks (36, 144) fit in p = 0.6's shared 352: one pass, then the resume
+@example(ps=[0.45, 0.6], depth=16, seed=7, samples=1000)
+# p = 0.55's (144, 576) does not: it tallies 352 and continues from there
+@example(ps=[0.55, 0.6], depth=16, seed=7, samples=1000)
+# p = 0.45 tallies its last block, 128, of p = 0.75's 1024 in spans of 512 rows, 8
+# chunks of 64: one row short of a span, a whole span, and one row into the next
 @example(ps=[0.45, 0.75], depth=12, seed=7, samples=2047)
 @example(ps=[0.45, 0.75], depth=12, seed=7, samples=2048)
 @example(ps=[0.45, 0.75], depth=12, seed=7, samples=2049)
@@ -540,14 +543,8 @@ def test_grid_tallies_are_each_p_drawn_alone(ps, depth, seed, samples):
         assert np.array_equal(nodes, alone_nodes) and np.array_equal(leaves, alone_leaves)
 
 
-# two blocks with samples at both edges; two blocks with sample 177 reading
-# exactly its last block of 80; two blocks at (0.6, 16); one block
-@pytest.mark.parametrize(
-    "p, depth, seed, samples",
-    [(0.4, 30, 18, 200), (0.4, 30, 2, 200), (0.6, 16, 7, 300), (0.9, 14, 2**64 - 27, 60)],
-)
-def test_lockstep_passes_key_each_stream_once_per_block(monkeypatch, p, depth, seed, samples):
-    # every keying of a stream during sample_tallies, with the uniforms then drawn
+def record_keyings(monkeypatch):
+    """Every keying of a stream from here on, as ``[index, position, uniforms then drawn]``."""
     calls = []
     at = SampleStreams.at
 
@@ -570,6 +567,17 @@ def test_lockstep_passes_key_each_stream_once_per_block(monkeypatch, p, depth, s
         return Recording(at(self, index, position))
 
     monkeypatch.setattr(SampleStreams, "at", recording_at)
+    return calls
+
+
+# two blocks with samples at both edges; two blocks with sample 177 reading
+# exactly its last block of 80; two blocks at (0.6, 16); one block
+@pytest.mark.parametrize(
+    "p, depth, seed, samples",
+    [(0.4, 30, 18, 200), (0.4, 30, 2, 200), (0.6, 16, 7, 300), (0.9, 14, 2**64 - 27, 60)],
+)
+def test_lockstep_passes_key_each_stream_once_per_block(monkeypatch, p, depth, seed, samples):
+    calls = record_keyings(monkeypatch)
     m = ModelParams(p)
     nodes, leaves = sample_tallies(m, depth, seed, samples)
     sizes = percolate._block_sizes(p, depth)
@@ -599,6 +607,46 @@ def test_lockstep_passes_key_each_stream_once_per_block(monkeypatch, p, depth, s
     # and draws exactly the words of generations g .. depth - 1, two per node
     assert [call[2] for call in rest] == resumed_words
     assert sorted(i for i, position, _ in calls if position == 0) == list(range(samples))
+
+
+# the benchmark's sweep grid: p = 0.6's first block of 352 is shared, which holds all of
+# p = 0.45's blocks (36, 144) and the first of p = 0.55's (144, 576); p = 0.75's single
+# block of 1024 holds all of p = 0.45's (32, 128) and p = 0.6's (160, 640) at depth 12
+@pytest.mark.parametrize(
+    "ps, depth, seed, samples",
+    [([0.45, 0.55, 0.6], 16, 7, 1000), ([0.6, 0.45, 0.75], 12, 2**64 - 1, 600)],
+)
+def test_grid_passes_key_no_sample_below_the_shared_block(monkeypatch, ps, depth, seed, samples):
+    calls = record_keyings(monkeypatch)
+    grid = [ModelParams(p) for p in ps]
+    got = grid_tallies(grid, depth, seed, samples)
+    shared = max(percolate._block_sizes(p, depth)[0] for p in ps)
+    # the first pass keys each sample once, for the shared block
+    assert calls[:samples] == [[i, 0, shared] for i in range(samples)]
+    want, fitting_resumes = [], 0
+    for m, (nodes, leaves) in zip(grid, got):
+        last = percolate._block_sizes(m.p, depth)[-1]
+        continued, resumed = [], []
+        for i in range(samples):
+            t = sample_tally(m, depth, cluster_stream(seed, i))
+            assert (nodes[i].tolist(), leaves[i].tolist()) == (t.node_counts, t.leaf_counts)
+            ends = np.cumsum([2 * n for n in t.node_counts[:depth]]).tolist()
+            if ends[-1] > shared:
+                continued.append([i, shared, last - shared])
+            past = [g for g, end in enumerate(ends) if end > last]
+            if past:
+                g = past[0]
+                resumed.append([i, ends[g] - 2 * t.node_counts[g], 2 * sum(t.node_counts[g:depth])])
+        # a p whose last block fits in the shared one continues no sample and goes
+        # straight to the resume; any other continues each outgrowing sample from its end
+        if last > shared:
+            assert continued
+            want += continued
+        else:
+            fitting_resumes += len(resumed)
+        want += resumed
+    assert fitting_resumes > 0
+    assert calls[samples:] == want
 
 
 @pytest.mark.parametrize("p", [0.0, 0.3])

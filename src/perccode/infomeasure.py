@@ -153,14 +153,16 @@ def row_measures(leaves: np.ndarray, p: float, depths: Iterable[int]) -> Iterato
     for lo in range(0, n_rows, _KEYED_ROWS):
         keys = leaves[lo : lo + _KEYED_ROWS].view(row_bytes).ravel().tolist()
         inverse[lo : lo + len(keys)] = [distinct.setdefault(key, len(distinct)) for key in keys]
-    counts = np.frombuffer(b"".join(distinct), leaves.dtype).astype(np.int64).reshape(-1, depth)
+    counts = np.frombuffer(b"".join(distinct), leaves.dtype).reshape(-1, depth)
+    del distinct  # its keys, joined in counts
     if depth > 1 and counts.max(initial=0) > np.iinfo(np.int64).max // (depth - 1):
         raise ValueError(f"a leaf count past 2**63 / {depth - 1} overflows n * L_n in int64")
     powers = np.array([p**n for n in range(depth)])
     weights, lengths = powers[:, None], np.arange(depth)[:, None]
     measured = np.empty((len(cuts), len(counts), 3))
     for lo in range(0, len(counts), _KEYED_ROWS):
-        rows, out = counts[lo : lo + _KEYED_ROWS], measured[:, lo : lo + _KEYED_ROWS]
+        rows = counts[lo : lo + _KEYED_ROWS].astype(np.int64)  # widened a chunk at a time
+        out = measured[:, lo : lo + _KEYED_ROWS]
         # Lambda's terms L_n p^n beside the length numerator's n L_n p^n
         terms = np.concatenate([rows.T * weights, rows.T * lengths * weights], axis=1)
         lam, num = np.split(_certified_sums(terms, cuts), 2, axis=1)

@@ -9,11 +9,11 @@ spawns nothing and never counts as a leaf.
 Randomness comes from counter-based streams: sample ``i`` of master seed
 ``s`` draws from an independent Philox stream keyed by ``(s, i)``, so a
 cluster is a pure function of ``(seed, index, p, depth_bound)`` however
-calls are scheduled.  A stream's Philox is handed its key and a shared zero
-counter ready-made, so keying converts nothing.  Per generation a single
-batch of ``2 * N_g`` uniforms is consumed, nodes in breadth-first order,
-each node's left edge value before its right edge value; an edge is open
-iff its value is < p.
+calls are scheduled.  A stream's Philox is handed its key and a shared zero counter
+ready-made, so keying converts nothing.  Per generation a single batch of ``2 * N_g``
+uniforms is consumed, nodes in breadth-first order, each node's left edge value before
+its right edge value; an edge is open iff its value is < p.  The threshold and the
+flag-pair dtype are made once per call, not once per generation.
 :func:`sample_tallies` tallies samples ``0 .. n - 1`` of a seed at once
 from the same streams, with the same numbers as :func:`sample_tally`.
 """
@@ -57,6 +57,8 @@ MAX_GENERATION_UNIFORMS = 1 << 24
 # The counter of a new stream, ready-made: NumPy converts a Python int to 4 words slowly.
 _ZERO_COUNTER = np.zeros(4, np.uint64)
 _ZERO_COUNTER.flags.writeable = False
+# A node's two edge flags as one word: a dtype, which a view need not convert like a type.
+_PAIR = np.dtype(np.uint16)
 
 
 # compared by identity: a generated == on lists of arrays would raise
@@ -169,12 +171,11 @@ def sample_cluster(params: ModelParams, depth_bound: int, stream) -> Cluster:
     than ``MAX_GENERATION_UNIFORMS`` uniforms."""
     if depth_bound < 0:
         raise ValueError(f"depth_bound must be >= 0, got {depth_bound}")
-    p, opens, count = params.p, [], 1
+    p, draw, opens, count = np.array(params.p), stream.random, [], 1
     for gen in range(depth_bound):
         if 2 * count > MAX_GENERATION_UNIFORMS:
             raise _over_cap(gen, count)
-        flags = np.less(stream.random(2 * count), p)
-        opens.append(flags)
+        opens.append(flags := draw(2 * count) < p)
         count = int(np.count_nonzero(flags))
         if count == 0:
             break
@@ -268,7 +269,7 @@ def _tally_blocks(jobs, depth, streams, rows, start, held):
                 continue
             n, batch, gens = at + hi - lo, rows[lo - at : hi], min(depth, k // 2)
             sums, counts = np.empty((n, k // 2 + 1), np.int32), np.empty((n, gens), np.int32)
-            np.cumsum(weight.take(flags[:n].view(np.uint16)), axis=1, out=sums[:, 1:])
+            np.cumsum(weight.take(flags[:n].view(_PAIR)), axis=1, out=sums[:, 1:])
             first = np.arange(n) * (k // 2 + 1)
             # S[0] = 0 is never gathered: every sample reads its root's flags
             before, stops, count = 0, first + k // 2, np.ones(n, dtype=np.int32)
@@ -334,7 +335,7 @@ def grid_tallies(grid: list[ModelParams], depth_bound: int, seed: int, samples: 
                 if 2 * count > MAX_GENERATION_UNIFORMS:
                     raise _over_cap(g, count)
                 flags = draw(2 * count) <= top
-                row.append(count - np.count_nonzero(flags.view(np.uint16)))
+                row.append(count - np.count_nonzero(flags.view(_PAIR)))
                 count = np.count_nonzero(flags)
                 counts.append(count)
             nodes[i, gen + 1 :] = counts
@@ -372,37 +373,33 @@ def sample_tallies(
 def tally(cluster: Cluster) -> GenerationTally:
     """Count nodes and leaves per generation of one cluster."""
     depth = cluster.depth_bound
-    node_counts = [0] * (depth + 1)
-    leaf_counts = [0] * depth
-    node_counts[0] = 1
+    node_counts, leaf_counts = [1] + [0] * depth, [0] * depth
     for gen, flags in enumerate(cluster.opens):
         count = len(flags) // 2
         node_counts[gen] = count
         # a node's two flags read as one 16-bit word are nonzero iff it has a child
-        leaf_counts[gen] = count - int(np.count_nonzero(flags.view(np.uint16)))
+        leaf_counts[gen] = count - int(np.count_nonzero(flags.view(_PAIR)))
     if cluster.opens:
         node_counts[len(cluster.opens)] = int(np.count_nonzero(cluster.opens[-1]))
-    return GenerationTally(
-        depth_bound=depth, node_counts=node_counts, leaf_counts=leaf_counts
-    )
+    return GenerationTally(depth_bound=depth, node_counts=node_counts, leaf_counts=leaf_counts)
 
 
 def cluster_to_json(cluster: Cluster) -> dict:
     """JSON-serializable cluster dump: depth bound plus the nested
     ``{gen, left?, right?}`` node structure (absent child => absent key).
 
-    Built bottom-up with no recursion: a node's two flags, read as one
-    ``"<u2"`` word (0 leaf, 1 left, 256 right, 257 both), pick its dict, made
-    whole in one literal that takes its children, in order, off the level below."""
+    Built bottom-up with no recursion: a node's two flags, read as one ``"<u2"`` word
+    (257 both, 1 left, 256 right, 0 leaf: at p >= 1/2 the commonest first), pick its dict,
+    made whole in one literal that takes its children, in order, off the level below."""
     opens = cluster.opens
     level = [{"gen": len(opens)} for _ in range(np.count_nonzero(opens[-1]) if opens else 1)]
     for gen in reversed(range(len(opens))):
         nxt = iter(level).__next__
         level = [
-            {"gen": gen} if k == 0
+            {"gen": gen, "left": nxt(), "right": nxt()} if k == 257
             else {"gen": gen, "left": nxt()} if k == 1
             else {"gen": gen, "right": nxt()} if k == 256
-            else {"gen": gen, "left": nxt(), "right": nxt()}
+            else {"gen": gen}
             for k in opens[gen].view("<u2").tolist()
         ]
     return {"depth_bound": cluster.depth_bound, "root": level[0]}

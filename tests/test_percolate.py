@@ -102,6 +102,20 @@ def test_opens_are_the_drawn_flags():
         assert np.array_equal(flags, stream.random(len(flags)) < 0.6)
 
 
+@pytest.mark.parametrize("p", [2.0**-53, 0.5, 0.6, 1.0 - 2.0**-53])
+def test_an_edge_whose_uniform_equals_p_is_closed(p):
+    # open iff strictly below p, whatever operand the comparison is handed:
+    # the root keeps its right edge, its child its left, and the grandchild is a leaf
+    below = np.nextafter(p, 0.0)
+    stream = FixtureStream([p, below, below, p, p, p])
+    c = sample_cluster(ModelParams(p), 3, stream)
+    assert [flags.tolist() for flags in c.opens] == [[False, True], [True, False], [False, False]]
+    assert stream.cursor == 6
+    t = tally(c)
+    assert t.node_counts == [1, 1, 1, 0]
+    assert t.leaf_counts == [0, 0, 1]
+
+
 def test_fixture_stream_consumption_is_per_live_node():
     # only the root (2 values) and its single child (2 values) draw
     stream = FixtureStream([0.3, 0.7, 0.4, 0.6, 0.9, 0.2])

@@ -48,8 +48,8 @@ from .percolate import (
     Cluster,
     GenerationTally,
     cluster_stream,
+    grid_tallies,
     sample_cluster,
-    sample_tallies,
     sample_tally,
     tally,
 )

@@ -17,11 +17,13 @@ infinities.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 __all__ = [
     "DomainError",
     "unit_interval",
+    "integer",
     "ModelParams",
     "MomentPair",
     "LeafMoments",
@@ -48,6 +50,17 @@ def unit_interval(name: str, value: float) -> float:
     value = float(value)
     if not 0.0 <= value <= 1.0:
         raise DomainError(f"{name} must lie in [0, 1], got {value!r}")
+    return value
+
+
+def integer(name: str, value: int, low: int | None = None) -> int:
+    """``value``, refused unless it is a Python or NumPy integer, and ``>= low`` if given: a
+    float would be truncated, and ``bool``, an int subclass, is no count."""
+    # a plain int skips the ABC check, which takes several times as long as the rest
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
     return value
 
 

@@ -11,8 +11,9 @@ Each subcommand declares exactly the flags it reads, and ``codebook
 ``codebook``, ``ensemble`` and ``oracle`` work on one ``(p, depth)`` cell:
 they take one ``--p`` and one ``--depth``, and a repeated flag keeps its
 last value.  Only ``analytic --p`` and ``sweep --p``/``--depth`` repeat.
-On every subcommand ``--out PATH`` writes the output to PATH instead of stdout,
-and a PATH whose directory does not exist is refused before any work.
+On every subcommand ``--out PATH`` writes the output to PATH instead of stdout;
+an empty PATH, a directory, or a PATH whose directory does not exist is refused
+before any work.
 
 Exit codes: 0 success, 2 usage error, 1 domain/runtime error, including
 an allocation the machine cannot make.  Every run logs its full
@@ -251,7 +252,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     _log_invocation(args.command, args)
     try:
-        # refused before any work: a missing directory would fail only at the final write
+        # refused before any work: each would fail only at the final write
+        if args.out is not None and (args.out == "" or os.path.isdir(args.out)):
+            raise ValueError(f"--out {args.out!r}: not a file path")
         if args.out is not None and not os.path.isdir(os.path.dirname(args.out) or "."):
             raise FileNotFoundError(f"--out {args.out}: no directory {os.path.dirname(args.out)}")
         return args.func(args)

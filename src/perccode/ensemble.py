@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analytic
-from .analytic import DomainError, ModelParams, unit_interval
+from .analytic import DomainError, ModelParams, integer, unit_interval
 from .infomeasure import row_measures
 from .percolate import RNG_VERSION, grid_tallies
 
@@ -81,13 +81,11 @@ class EnsembleConfig:
     seed: int
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError(f"samples must be >= 1, got {self.samples}")
+        integer("samples", self.samples, 1)
         for p in self.p_values:
             unit_interval("p", p)
         for d in self.depths:
-            if d < 1:
-                raise ValueError(f"depth must be >= 1, got {d}")
+            integer("depth", d, 1)
 
 
 @dataclass(frozen=True)

@@ -9,13 +9,12 @@ spawns nothing and never counts as a leaf.
 Randomness comes from counter-based streams: sample ``i`` of master seed
 ``s`` draws from an independent Philox stream keyed by ``(s, i)``, so a
 cluster is a pure function of ``(seed, index, p, depth_bound)`` however
-calls are scheduled.  A stream's Philox is handed its key and a shared zero counter
-ready-made, so keying converts nothing.  Per generation a single batch of ``2 * N_g``
-uniforms is consumed, nodes in breadth-first order, each node's left edge value before
-its right edge value; an edge is open iff its value is < p.  The threshold and the
-flag-pair dtype are made once per call, not once per generation.
-:func:`sample_tallies` tallies samples ``0 .. n - 1`` of a seed at once
-from the same streams, with the same numbers as :func:`sample_tally`.
+calls are scheduled.  Per generation a single batch of ``2 * N_g`` uniforms
+is consumed, nodes in breadth-first order, each node's left edge value before
+its right edge value; an edge is open iff its value is < p.
+:func:`grid_tallies` tallies samples ``0 .. n - 1`` of a seed at a grid of p
+at once, from the same streams, with the same numbers as :func:`sample_tally`;
+the README's Sampling section states its block plan.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import ModelParams
+from .analytic import ModelParams, integer
 
 __all__ = [
     "RNG_VERSION",
@@ -37,7 +36,6 @@ __all__ = [
     "SampleStreams",
     "sample_cluster",
     "sample_tally",
-    "sample_tallies",
     "grid_tallies",
     "tally",
     "cluster_to_json",
@@ -94,7 +92,7 @@ class GenerationTally:
 
 def _check_key(seed: int, index: int) -> None:
     # each is one 64-bit word of the Philox key
-    if not (0 <= seed < 2**64 and 0 <= index < 2**64):
+    if not (0 <= integer("seed", seed) < 2**64 and 0 <= integer("index", index) < 2**64):
         raise ValueError(f"seed and index must lie in [0, 2**64), got {seed}, {index}")
 
 
@@ -134,7 +132,7 @@ class SampleStreams:
     """
 
     def __init__(self, seed: int, count: int):
-        _check_key(seed, max(count - 1, 0))
+        _check_key(seed, max(integer("count", count) - 1, 0))
         self.count = count
         self._generator = _philox_stream(seed, 0)
         self._key = [seed, 0]
@@ -150,7 +148,7 @@ class SampleStreams:
         }
 
     def at(self, index: int, position: int = 0) -> np.random.Generator:
-        if not 0 <= index < self.count:
+        if not 0 <= integer("index", index) < self.count:
             raise IndexError(f"sample index {index} outside [0, {self.count})")
         self._key[1] = index
         # Philox makes 4 uniforms per counter step, stepping the counter
@@ -169,8 +167,7 @@ def sample_cluster(params: ModelParams, depth_bound: int, stream) -> Cluster:
 
     Raises ``ValueError`` before drawing a generation that would need more
     than ``MAX_GENERATION_UNIFORMS`` uniforms."""
-    if depth_bound < 0:
-        raise ValueError(f"depth_bound must be >= 0, got {depth_bound}")
+    integer("depth_bound", depth_bound, 0)
     p, draw, opens, count = np.array(params.p), stream.random, [], 1
     for gen in range(depth_bound):
         if 2 * count > MAX_GENERATION_UNIFORMS:
@@ -294,16 +291,22 @@ def _tally_blocks(jobs, depth, streams, rows, start, held):
 
 
 def grid_tallies(grid: list[ModelParams], depth_bound: int, seed: int, samples: int):
-    """``sample_tallies(params, depth_bound, seed, samples)`` of each ``params`` of ``grid``,
-    in a list.  Sample i reads one stream at every p, so it is keyed and draws a first block
-    once for all of them: the largest.  Each p tallies as much of it as its own blocks would
-    draw and continues only past its end, so no continuation draws a uniform twice; a one-p
-    grid keeps its blocks.  Each p's outgrown samples then resume on their own; every p's
-    tallies are held at once.  A grid whose tallies, with the row keys ``row_measures`` makes
-    of one p's, exceed physical memory raises ``MemoryError`` before any stream is keyed."""
-    if depth_bound < 0:
-        raise ValueError(f"depth_bound must be >= 0, got {depth_bound}")
-    _check_key(seed, max(samples - 1, 0))  # a bad key is reported before the size
+    """Tallies of samples ``0 .. samples - 1`` of master ``seed`` at each ``params`` of
+    ``grid``: a list of int32 ``(nodes, leaves)``, the node counts N_0 .. N_depth_bound and
+    leaf counts L_0 .. L_{depth_bound - 1}, row ``i`` those ``sample_tally(params,
+    depth_bound, cluster_stream(seed, i))`` counts; no count exceeds 2^24, under
+    ``MAX_GENERATION_UNIFORMS``.  Generation g reads from uniform ``2 * sum_{h<g} N_h``
+    whatever the bound, so ``nodes[:, :d + 1]`` and ``leaves[:, :d]`` are the tallies at
+    depth bound ``d``.  Depth bound 0 draws nothing.
+
+    Each sample is keyed once and draws the grid's largest first block K.  Each p tallies
+    its first ``min(last, K)`` uniforms, ``last`` its own last block; only a p with
+    ``last > K`` continues from uniform K into its last block, and then outgrown samples
+    resume alone (README, Sampling).  Tallies that, with the row keys ``row_measures``
+    makes of one p's, exceed physical memory raise ``MemoryError`` before any keying."""
+    integer("depth_bound", depth_bound, 0)
+    # a bad key is reported before the size
+    _check_key(seed, max(integer("samples", samples, 0) - 1, 0))
     try:  # physical memory in bytes, 0 where os.sysconf cannot report it
         memory = max(os.sysconf("SC_PHYS_PAGES"), 0) * max(os.sysconf("SC_PAGE_SIZE"), 0)
     except (AttributeError, ValueError, OSError):
@@ -312,20 +315,18 @@ def grid_tallies(grid: list[ModelParams], depth_bound: int, seed: int, samples: 
     if need > memory > 0:
         raise MemoryError(f"the tallies need {need} bytes, over the {memory} of physical memory")
     depth, streams = depth_bound, SampleStreams(seed, samples)
-    cells = [(params.p, _block_sizes(params.p, depth)) for params in grid]
-    # each p reads as much of the shared first block as it would draw, and continues past it
-    shared = max((s[0] for _, s in cells), default=0)
-    cells = [(p, (min(s[-1], shared),) + tuple(k for k in s if k > shared)) for p, s in cells]
     out = [(np.ones((samples, depth + 1), np.int32), np.empty((samples, depth), np.int32))
-           for _ in cells]
-    if depth == 0 or not cells:
+           for _ in grid]
+    if depth == 0 or not grid:
         return out
-    jobs = [(p, s[0], *t, len(s) == 1) for (p, s), t in zip(cells, out)]
+    blocks = [_block_sizes(params.p, depth) for params in grid]
+    shared = max(s[0] for s in blocks)
+    jobs = [(m.p, min(s[-1], shared), *t, s[-1] <= shared) for m, s, t in zip(grid, blocks, out)]
     passes = _tally_blocks(jobs, depth, streams, np.arange(samples), 0, None)
-    for (p, _, nodes, leaves, _), (rest, carry), (_, s) in zip(jobs, passes, cells):
-        for start, k in zip(s, s[1:]):
-            job = p, k, nodes, leaves, k == s[-1]
-            [(rest, carry)] = _tally_blocks([job], depth, streams, rest, start, carry)
+    for (p, _, nodes, leaves, fits), (rest, carry), s in zip(jobs, passes, blocks):
+        if not fits:
+            job = p, s[-1], nodes, leaves, True
+            [(rest, carry)] = _tally_blocks([job], depth, streams, rest, shared, carry)
         # T(0) = -1 is no uint64, but p = 0 never resumes: its root's two uniforms fit any block
         top = np.uint64(_raw_threshold(p)) if p else None
         for i, (gen, offset, count) in zip(rest.tolist(), carry.tolist()):
@@ -341,33 +342,6 @@ def grid_tallies(grid: list[ModelParams], depth_bound: int, seed: int, samples: 
             nodes[i, gen + 1 :] = counts
             leaves[i, gen:] = row
     return out
-
-
-def sample_tallies(
-    params: ModelParams, depth_bound: int, seed: int, samples: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Tallies of samples ``0 .. samples - 1`` of master ``seed`` at once:
-    int32 arrays ``nodes`` of the node counts N_0 .. N_depth_bound and
-    ``leaves`` of the leaf counts L_0 .. L_{depth_bound - 1}, one row per
-    sample, row ``i`` the ``node_counts`` and ``leaf_counts`` of
-    ``sample_tally(params, depth_bound, cluster_stream(seed, i))``; under
-    ``MAX_GENERATION_UNIFORMS`` no count exceeds 2^24.
-    Generation g reads uniforms ``2 * sum_{h<g} N_h`` on whatever the depth
-    bound, so cut to ``nodes[:, :d + 1]`` and ``leaves[:, :d]`` these are
-    the tallies at depth bound ``d``.  Depth bound 0 draws nothing.  This is
-    :func:`grid_tallies` of the one-p grid ``[params]``.
-
-    Drawing ``a`` numbers and then ``b`` reads what drawing ``a + b``
-    reads, so each sample draws a block of ``k`` uniforms at once, about
-    twice the cell's expected count but at most 1024, and the block holds
-    the per-generation batches back to back.  While ``k < 1024``, samples
-    that outgrow it keep its flags and continue at counter ``k`` into a
-    block of ``min(4k, 1024)``.  A cluster that outgrows its last block
-    resumes at the first generation g that ran past it, read off its own
-    counts as the first with ``2 * (N_0 + ... + N_g) > k``: its stream is re-keyed
-    at that generation's offset and counted from there, no ``Cluster`` built, in raw words.
-    """
-    return grid_tallies([params], depth_bound, seed, samples)[0]
 
 
 def tally(cluster: Cluster) -> GenerationTally:

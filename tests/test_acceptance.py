@@ -17,8 +17,8 @@ from perccode.analytic import ModelParams
 from perccode.ensemble import EnsembleConfig, csv_text, run_ensemble, sweep
 from perccode.percolate import (
     cluster_stream,
+    grid_tallies,
     sample_cluster,
-    sample_tallies,
     sample_tally,
     tally,
 )
@@ -102,7 +102,7 @@ def test_c4_distribution_level_simulation():
     t0 = time.perf_counter()
     m = ModelParams(0.5)
     depth, samples = 8, 200_000
-    nodes, _ = sample_tallies(m, depth, 80808, samples)
+    nodes, _ = grid_tallies([m], depth, 80808, samples)[0]
     hist = np.bincount(nodes[:, -1], minlength=2**depth + 1) / samples
     exact = oracle.node_distribution(m, depth)
     tv = 0.5 * float(np.abs(hist - exact).sum())
@@ -116,7 +116,7 @@ def test_c4_distribution_level_simulation():
 def test_c5_extinction():
     m = ModelParams(0.6)
     depth, samples = 16, 100_000
-    nodes, _ = sample_tallies(m, depth, 160160, samples)
+    nodes, _ = grid_tallies([m], depth, 160160, samples)[0]
     frac = int(np.count_nonzero(nodes[:, -1] == 0)) / samples
     target = analytic.pgf_iterate(m, depth, 0.0)
     se = math.sqrt(target * (1.0 - target) / samples)

@@ -261,7 +261,7 @@ def test_lambda_var_exact_examples():
 def test_lambda_var_exact_matches_monte_carlo(p):
     depth, samples = 24, 10000
     params = ModelParams(p)
-    _, leaves = percolate.sample_tallies(params, depth, 17, samples)
+    _, leaves = percolate.grid_tallies([params], depth, 17, samples)[0]
     lam = leaves @ np.array([p**n for n in range(depth)])
     dev2 = (lam - lam.mean()) ** 2
     se = math.sqrt(dev2.var(ddof=1) / samples)
@@ -312,7 +312,7 @@ def test_sampled_leaf_weights_follow_the_transform(p, depth, samples):
     # a check against the model, not between paths: the distribution of
     # (Lambda, M) as sampled and measured, through exp(-s Lambda - t M), whose
     # exact variance F(2s, 2t) - F(s, t)^2 gives each point an exact z-score
-    _, leaves = percolate.sample_tallies(ModelParams(p), depth, 99, samples)
+    _, leaves = percolate.grid_tallies([ModelParams(p)], depth, 99, samples)[0]
     (measured,) = row_measures(leaves, p, [depth])
     lam = measured[:, 0]
     m = np.nan_to_num(lam * measured[:, 2])  # Lambda times the mean length, 0 if leafless

@@ -386,6 +386,29 @@ def test_out_in_a_missing_directory_exits_one_before_any_work(capsys, monkeypatc
     assert not path.parent.exists()
 
 
+@pytest.mark.parametrize("target", ["directory", "empty"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--p", "0.5", "--depth", "3", "--samples", "3"],
+        ["ensemble", "--depth", "3", "--samples", "5"],
+    ],
+)
+def test_out_naming_no_file_exits_one_before_any_work(capsys, monkeypatch, tmp_path, argv, target):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew samples for an output it cannot write")
+
+    monkeypatch.setattr("perccode.ensemble.grid_tallies", no_draw)
+    monkeypatch.chdir(tmp_path)
+    path = str(tmp_path) if target == "directory" else ""
+    code, out, err = run_cli(capsys, *argv, "--out", path)
+    assert code == 1
+    assert out == ""
+    assert f"--out {path!r}: not a file path" in err
+    assert "[sweep]" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_decode_against_book_file(capsys, seven_leaf_paths):
     _, book_path = seven_leaf_paths
     code, out, _ = run_cli(

@@ -20,7 +20,7 @@ from perccode.codec import (
     parse_codebook,
     symbol_labels,
 )
-from perccode.percolate import cluster_stream, sample_cluster, sample_tallies, tally
+from perccode.percolate import cluster_stream, grid_tallies, sample_cluster, tally
 
 from conftest import SEVEN_LEAF_WORDS, cluster_from_codewords
 
@@ -340,7 +340,7 @@ def test_kraft_split_by_survival_is_the_enumerated_one(p, depth):
 
 @pytest.mark.parametrize("p, depth", [(0.6, 30), (0.55, 40)])
 def test_sampled_kraft_split_by_survival_is_the_exact_one(p, depth):
-    nodes, leaves = sample_tallies(ModelParams(p), depth, 11, 10000)
+    nodes, leaves = grid_tallies([ModelParams(p)], depth, 11, 10000)[0]
     kraft = leaves @ 2.0 ** -np.arange(depth)
     dead = nodes[:, depth] == 0
     for sampled, exact in zip([kraft, dead * kraft, dead], kraft_split(p, depth)):
@@ -350,7 +350,7 @@ def test_sampled_kraft_split_by_survival_is_the_exact_one(p, depth):
 
 def test_kraft_sum_of_a_sampled_book_is_its_tallys():
     m, depth, seed = ModelParams(0.55), 16, 11
-    _, leaves = sample_tallies(m, depth, seed, 200)
+    _, leaves = grid_tallies([m], depth, seed, 200)[0]
     for i, row in enumerate(leaves.tolist()):
         book = extract_codebook(sample_cluster(m, depth, cluster_stream(seed, i)))
         # a sum of multiples of 2^-16 up to 1 is exact in floating point

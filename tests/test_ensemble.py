@@ -184,6 +184,17 @@ def test_config_validation():
         run_ensemble(ModelParams(0.5), 0, 10, seed=1)
 
 
+@pytest.mark.parametrize("samples, depth", [(2.5, 8), (10, 8.0), (True, 8), (10, False)])
+def test_config_refuses_non_integer_samples_and_depths(samples, depth):
+    bad = samples if type(samples) is not int else depth
+    with pytest.raises(ValueError, match=re.escape(f"must be an integer, got {bad!r}")):
+        EnsembleConfig(p_values=[0.5], depths=[depth], samples=samples, seed=1)
+    with pytest.raises(ValueError, match=re.escape(f"must be an integer, got {bad!r}")):
+        run_ensemble(ModelParams(0.5), depth, samples, seed=1)
+    fine = EnsembleConfig([0.5], [np.int64(4)], np.int32(5), np.uint64(2))
+    assert csv_text(sweep(fine, log=None)) == csv_text([run_ensemble(ModelParams(0.5), 4, 5, 2)])
+
+
 def _mean_se(values):
     if len(values) == 0:
         return 0.0, 0.0
@@ -294,7 +305,7 @@ def reach_every_pass(p, depth, samples, seed):
     """Check that some samples of the cell fit the first block, some continue
     into the second where there is one, and some outgrow the last and resume
     at a counter position, some two uniforms into a Philox counter step,
-    which SampleStreams.at discards; and that sample_tallies matches the
+    which SampleStreams.at discards; and that one-p grid_tallies matches the
     per-sample reference.  Return the block sizes, the uniforms each sample
     reads and the resume offsets, as block_walk gives them."""
     params = ModelParams(p)
@@ -307,7 +318,7 @@ def reach_every_pass(p, depth, samples, seed):
     assert any(offset % 4 == 2 for offset in offsets)
     if len(sizes) == 2:
         assert continued >= 1
-    nodes, leaves = percolate.sample_tallies(params, depth, seed, samples)
+    nodes, leaves = percolate.grid_tallies([params], depth, seed, samples)[0]
     for i in range(samples):
         t = sample_tally(params, depth, cluster_stream(seed, i))
         assert (nodes[i, -1], leaves[i].tolist()) == (t.node_counts[depth], t.leaf_counts)
@@ -345,6 +356,9 @@ def test_keys_past_64_bits_are_rejected_before_any_work():
     # sample 2**64 needs a key word past 64 bits; refused before any allocation
     with pytest.raises(ValueError, match="2\\*\\*64"):
         run_ensemble(ModelParams(0.5), 4, 2**64 + 1, seed=0)
+    # a float seed would be truncated to another seed's stream, and reported as given
+    with pytest.raises(ValueError, match="seed must be an integer, got 2.9"):
+        run_ensemble(ModelParams(0.5), 4, 5, seed=2.9)
 
 
 def test_sweep_log_reports_time_and_rate():

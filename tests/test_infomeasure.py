@@ -9,8 +9,8 @@ from perccode.infomeasure import _KEYED_ROWS, _certified_sums, measures, row_mea
 from perccode.percolate import (
     GenerationTally,
     cluster_stream,
+    grid_tallies,
     sample_cluster,
-    sample_tallies,
     tally,
 )
 
@@ -156,7 +156,7 @@ def at_own_depth(leaves: np.ndarray, p: float) -> np.ndarray:
 @pytest.mark.parametrize("depth", [1, 16])
 @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 0.7, 1.0])
 def test_row_measures_equal_measures_row_by_row(p, depth):
-    _, leaves = sample_tallies(ModelParams(p), depth, 5, 400)
+    _, leaves = grid_tallies([ModelParams(p)], depth, 5, 400)[0]
     got = at_own_depth(leaves, p)
     assert got.shape == (400, 3)
     # ==, with NaN exactly where measures gives None
@@ -171,7 +171,7 @@ def test_row_measures_of_depth_zero_rows():
 
 def test_row_measures_across_key_chunks():
     # rows repeat on both sides of every chunk boundary, in shuffled order
-    _, sampled = sample_tallies(ModelParams(0.6), 10, 9, 300)
+    _, sampled = grid_tallies([ModelParams(0.6)], 10, 9, 300)[0]
     order = np.random.default_rng(4).integers(0, len(sampled), 2 * _KEYED_ROWS + 7)
     leaves = sampled[order]
     got = at_own_depth(leaves, 0.6)

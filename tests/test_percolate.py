@@ -19,7 +19,6 @@ from perccode.percolate import (
     cluster_to_json,
     grid_tallies,
     sample_cluster,
-    sample_tallies,
     sample_tally,
     tally,
 )
@@ -221,7 +220,7 @@ def test_sample_means_match_closed_forms():
     # mean N_8 ~ mu^8 = 1 and mean L_3 ~ q^2 (2p)^3 = 0.25 at p = 0.5
     m = ModelParams(0.5)
     samples = 100_000
-    nodes, leaves = sample_tallies(m, 8, 424242, samples)
+    nodes, leaves = grid_tallies([m], 8, 424242, samples)[0]
     n8 = nodes[:, -1].astype(float)
     l3 = leaves[:, 3].astype(float)
     se_n = n8.std(ddof=1) / math.sqrt(samples)
@@ -233,7 +232,7 @@ def test_sample_means_match_closed_forms():
 def test_death_frequency_matches_pgf_iterate():
     m = ModelParams(0.6)
     depth, samples = 12, 20000
-    nodes, _ = sample_tallies(m, depth, 777, samples)
+    nodes, _ = grid_tallies([m], depth, 777, samples)[0]
     frac = int(np.count_nonzero(nodes[:, -1] == 0)) / samples
     target = pgf_iterate(m, depth, 0.0)
     se = math.sqrt(target * (1 - target) / samples)
@@ -394,6 +393,16 @@ def test_cluster_stream_rejects_keys_past_64_bits(seed, index):
         cluster_stream(seed, index)
 
 
+@pytest.mark.parametrize("seed, index", [(1.5, 0), (0, 2.0), (True, 0), (0, np.float64(3))])
+def test_cluster_stream_refuses_non_integer_keys(seed, index):
+    # a float would be truncated to another stream's key word
+    bad = seed if type(seed) is not int else index
+    with pytest.raises(ValueError, match=re.escape(f"must be an integer, got {bad!r}")):
+        cluster_stream(seed, index)
+    drawn = cluster_stream(np.uint64(2**64 - 1), np.int32(3)).random(4)
+    assert drawn.tolist() == cluster_stream(2**64 - 1, 3).random(4).tolist()
+
+
 def test_large_seeds_key_distinct_streams():
     # each seed is one exact 64-bit key word: no rounding, no wrap to 0
     with warnings.catch_warnings():
@@ -450,14 +459,25 @@ def test_sample_streams_reject_out_of_range_keys():
         SampleStreams(1, 4).at(4)
 
 
+@pytest.mark.parametrize("seed, count", [(1.5, 4), (1, 4.0), (False, 4), (1, np.float32(2))])
+def test_sample_streams_refuse_non_integer_seeds_and_counts(seed, count):
+    bad = seed if type(seed) is not int else count
+    with pytest.raises(ValueError, match=re.escape(f"must be an integer, got {bad!r}")):
+        SampleStreams(seed, count)
+    streams = SampleStreams(np.int64(7), np.uint16(4))
+    assert streams.at(3).random(4).tolist() == cluster_stream(7, 3).random(4).tolist()
+    with pytest.raises(ValueError, match=re.escape("must be an integer, got 2.5")):
+        streams.at(2.5)
+
+
 # depth 0, the boundary densities, one block only, and the escalated block
 @pytest.mark.parametrize(
     "p, depth, seed, samples",
     [(0.6, 0, 3, 5), (0.0, 4, 3, 7), (1.0, 5, 3, 3), (0.8, 12, 2**64 - 60, 60), (0.45, 30, 2, 400)],
 )
-def test_sample_tallies_match_sample_tally(p, depth, seed, samples):
+def test_one_p_grid_tallies_match_sample_tally(p, depth, seed, samples):
     m = ModelParams(p)
-    nodes, leaves = sample_tallies(m, depth, seed, samples)
+    nodes, leaves = grid_tallies([m], depth, seed, samples)[0]
     assert nodes.dtype == leaves.dtype == np.int32
     assert nodes.shape == (samples, depth + 1) and leaves.shape == (samples, depth)
     for i in range(samples):
@@ -473,10 +493,10 @@ def test_sample_tallies_match_sample_tally(p, depth, seed, samples):
     depth=st.integers(min_value=0, max_value=14),
     samples=st.integers(min_value=1, max_value=30),
 )
-def test_sample_tallies_match_sample_tally_supercritical(seed, p, depth, samples):
+def test_one_p_grid_tallies_match_sample_tally_supercritical(seed, p, depth, samples):
     # near p = 1 and depth 14 the clusters outgrow their last block and resume
     m = ModelParams(p)
-    nodes, leaves = sample_tallies(m, depth, seed, samples)
+    nodes, leaves = grid_tallies([m], depth, seed, samples)[0]
     assert nodes.shape == (samples, depth + 1) and leaves.shape == (samples, depth)
     for i in range(samples):
         t = sample_tally(m, depth, cluster_stream(seed, i))
@@ -495,13 +515,13 @@ def test_sample_tallies_match_sample_tally_supercritical(seed, p, depth, samples
     seed=st.integers(min_value=0, max_value=2**64 - 1),
     samples=st.integers(min_value=1, max_value=40),
 )
-def test_sample_tallies_cut_to_a_shallower_depth_are_its_tallies(p, depths, seed, samples):
+def test_one_p_grid_tallies_cut_to_a_shallower_depth_are_its_tallies(p, depths, seed, samples):
     # generation g reads the same uniforms whatever the depth bound, so the
     # deeper tallies cut to depth d are the tallies at d
     d, deep = sorted(depths)
     m = ModelParams(p)
-    nodes, leaves = sample_tallies(m, deep, seed, samples)
-    shallow_nodes, shallow_leaves = sample_tallies(m, d, seed, samples)
+    nodes, leaves = grid_tallies([m], deep, seed, samples)[0]
+    shallow_nodes, shallow_leaves = grid_tallies([m], d, seed, samples)[0]
     assert np.array_equal(nodes[:, : d + 1], shallow_nodes)
     assert np.array_equal(leaves[:, :d], shallow_leaves)
 
@@ -512,7 +532,7 @@ def test_depth_zero_tallies_draw_nothing(monkeypatch):
     at = SampleStreams.at
     monkeypatch.setattr(SampleStreams, "at", lambda self, *a: calls.append(a) or at(self, *a))
     m = ModelParams(0.6)
-    nodes, leaves = sample_tallies(m, 0, 3, 1000)
+    nodes, leaves = grid_tallies([m], 0, 3, 1000)[0]
     assert calls == []
     assert nodes.shape == (1000, 1) and leaves.shape == (1000, 0)
     for i in range(0, 1000, 97):
@@ -553,7 +573,7 @@ def test_grid_tallies_are_each_p_drawn_alone(ps, depth, seed, samples):
     got = grid_tallies(grid, depth, seed, samples)
     assert len(got) == len(grid)
     for m, (nodes, leaves) in zip(grid, got):
-        alone_nodes, alone_leaves = sample_tallies(m, depth, seed, samples)
+        alone_nodes, alone_leaves = grid_tallies([m], depth, seed, samples)[0]
         assert np.array_equal(nodes, alone_nodes) and np.array_equal(leaves, alone_leaves)
 
 
@@ -593,7 +613,7 @@ def record_keyings(monkeypatch):
 def test_lockstep_passes_key_each_stream_once_per_block(monkeypatch, p, depth, seed, samples):
     calls = record_keyings(monkeypatch)
     m = ModelParams(p)
-    nodes, leaves = sample_tallies(m, depth, seed, samples)
+    nodes, leaves = grid_tallies([m], depth, seed, samples)[0]
     sizes = percolate._block_sizes(p, depth)
     needed, resumes, resumed_words = [], [], []
     for i in range(samples):
@@ -625,10 +645,15 @@ def test_lockstep_passes_key_each_stream_once_per_block(monkeypatch, p, depth, s
 
 # the benchmark's sweep grid: p = 0.6's first block of 352 is shared, which holds all of
 # p = 0.45's blocks (36, 144) and the first of p = 0.55's (144, 576); p = 0.75's single
-# block of 1024 holds all of p = 0.45's (32, 128) and p = 0.6's (160, 640) at depth 12
+# block of 1024 holds all of p = 0.45's (32, 128) and p = 0.6's (160, 640) at depth 12;
+# without p = 0.6 the shared block is p = 0.55's first, 144, which is p = 0.45's last
 @pytest.mark.parametrize(
     "ps, depth, seed, samples",
-    [([0.45, 0.55, 0.6], 16, 7, 1000), ([0.6, 0.45, 0.75], 12, 2**64 - 1, 600)],
+    [
+        ([0.45, 0.55, 0.6], 16, 7, 1000),
+        ([0.6, 0.45, 0.75], 12, 2**64 - 1, 600),
+        ([0.45, 0.55], 16, 7, 1000),
+    ],
 )
 def test_grid_passes_key_no_sample_below_the_shared_block(monkeypatch, ps, depth, seed, samples):
     calls = record_keyings(monkeypatch)
@@ -707,11 +732,23 @@ def test_raw_words_give_the_flags_of_the_uniforms(p):
     assert np.array_equal(words <= np.uint64(percolate._raw_threshold(p)), uniforms < p)
 
 
-def test_sample_tallies_reject_bad_arguments():
+def test_one_p_grid_tallies_reject_bad_arguments():
     with pytest.raises(ValueError):
-        sample_tallies(ModelParams(0.5), -1, 0, 4)
+        grid_tallies([ModelParams(0.5)], -1, 0, 4)[0]
     with pytest.raises(ValueError):
-        sample_tallies(ModelParams(0.5), 4, 2**64, 4)
+        grid_tallies([ModelParams(0.5)], 4, 2**64, 4)[0]
+
+
+@pytest.mark.parametrize(
+    "depth, seed, samples", [(4.0, 0, 4), (4, 2.9, 4), (4, 0, 2.5), (True, 0, 4), (4, 0, True)]
+)
+def test_grid_tallies_refuse_non_integer_arguments(depth, seed, samples):
+    bad = next(v for v in (depth, seed, samples) if type(v) is not int)
+    with pytest.raises(ValueError, match=re.escape(f"must be an integer, got {bad!r}")):
+        grid_tallies([ModelParams(0.5)], depth, seed, samples)
+    [(nodes, leaves)] = grid_tallies([ModelParams(0.5)], np.int8(4), np.uint64(2), np.int64(4))
+    [(want_nodes, want_leaves)] = grid_tallies([ModelParams(0.5)], 4, 2, 4)
+    assert (nodes.tolist(), leaves.tolist()) == (want_nodes.tolist(), want_leaves.tolist())
 
 
 def test_rng_version_is_pinned():

@@ -46,7 +46,11 @@ class DomainError(ValueError):
 
 
 def unit_interval(name: str, value: float) -> float:
-    """``float(value)``, refused unless it lies in [0, 1]."""
+    """``float(value)``, refused unless it is a real number in [0, 1]: a string is
+    not parsed, and ``bool``, an int subclass, is no probability."""
+    # a plain float skips the ABC check, as a plain int does in integer
+    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
     value = float(value)
     if not 0.0 <= value <= 1.0:
         raise DomainError(f"{name} must lie in [0, 1], got {value!r}")
@@ -147,8 +151,7 @@ def pgf_iterate(params: ModelParams, n: int, xi0: float) -> float:
     f_0 is the identity; f_n(0) is the probability that the root cluster
     has died out by generation n.
     """
-    if n < 0:
-        raise DomainError(f"generation count must be >= 0, got {n}")
+    integer("generation count", n, 0)
     xi = unit_interval("xi0", xi0)
     for _ in range(n):
         v = params.p * xi + params.q
@@ -173,8 +176,7 @@ def node_moments(params: ModelParams, n: int) -> MomentPair:
     mean = (2p)^n; variance = q(2p)^n[((2p)^n - 1)/(2p - 1)] for p != 1/2
     and n/2 at p = 1/2.  Generation 0 is the deterministic root.
     """
-    if n < 0:
-        raise DomainError(f"generation count must be >= 0, got {n}")
+    integer("generation count", n, 0)
     mu = params.mu
     mean = mu**n
     if n == 0:

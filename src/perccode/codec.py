@@ -14,7 +14,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .analytic import unit_interval
+from .analytic import integer, unit_interval
 from .percolate import Cluster
 
 __all__ = [
@@ -94,7 +94,7 @@ def encode(book: CodeBook, symbols: list[int]) -> str:
     words = book.words
     out = []
     for i in symbols:
-        if not 0 <= i < len(words):
+        if not 0 <= integer("symbol index", i) < len(words):
             raise IndexError(f"symbol index {i} out of range for {len(words)} codewords")
         out.append(words[i])
     return "".join(out)

@@ -118,16 +118,6 @@ class EnsembleStats:
     se_leaf_counts: list[float] = field(repr=False)
 
 
-def _mean_se(values: np.ndarray) -> tuple[float, float]:
-    n = len(values)
-    if n == 0:
-        return 0.0, 0.0
-    mean = float(values.mean())
-    if n < 2:
-        return mean, 0.0
-    return mean, float(values.std(ddof=1) / math.sqrt(n))
-
-
 def run_ensemble(params: ModelParams, depth: int, samples: int, seed: int) -> EnsembleStats:
     """Estimate one (p, depth) cell from ``samples`` independent clusters;
     ``seed`` and every sample index must lie in [0, 2**64).  It is the
@@ -135,31 +125,36 @@ def run_ensemble(params: ModelParams, depth: int, samples: int, seed: int) -> En
     return sweep(EnsembleConfig([params.p], [depth], samples, seed), log=None)[0]
 
 
-def _leaf_stats(leaves: np.ndarray) -> tuple[list[float], list[float]]:
-    """Mean and standard error of each generation's leaf count, a block of generations at a
-    time: NumPy reduces each contiguous row in the order it gives that column alone."""
-    samples, depth = leaves.shape
-    mean, se, step = [], [0.0] * depth, max(1, _REDUCE_ELEMENTS // samples)
-    for g in range(0, depth, step):
-        columns = np.ascontiguousarray(leaves[:, g : g + step].T)
-        mean += columns.mean(axis=1).tolist()
-        if samples > 1:
-            se[g : g + step] = (columns.std(axis=1, ddof=1) / math.sqrt(samples)).tolist()
+def _column_stats(block: np.ndarray) -> tuple[list[float], list[float]]:
+    """Mean and standard error of each column of ``block``, a block of columns at a time:
+    NumPy reduces each contiguous row in the order it gives that column alone.  Both are
+    0.0 with no rows, and the SE is 0.0 with one."""
+    rows, width = block.shape
+    mean, se = [0.0] * width, [0.0] * width
+    if not rows:
+        return mean, se
+    step = max(1, _REDUCE_ELEMENTS // rows)
+    for g in range(0, width, step):
+        columns = np.ascontiguousarray(block[:, g : g + step].T)
+        mean[g : g + step] = columns.mean(axis=1).tolist()
+        if rows > 1:
+            se[g : g + step] = (columns.std(axis=1, ddof=1) / math.sqrt(rows)).tolist()
     return mean, se
 
 
 def _cell_stats(params, seed: int, nodes, leaf_stats, depth: int, measured) -> EnsembleStats:
-    """The row of the ``depth`` cell from one p's node tallies and ``_leaf_stats`` at a
-    depth bound of ``depth`` or deeper, cut to ``depth``, and ``row_measures`` of the cut."""
+    """The row of the ``depth`` cell from one p's node tallies and the ``_column_stats``
+    of its leaf counts at a depth bound of ``depth`` or deeper, cut to ``depth``, and
+    ``row_measures`` of the cut."""
     n_final = nodes[:, depth]
     samples = len(n_final)
     _, entropy, length = measured.T
-
     usable = ~np.isnan(entropy)
     used = int(np.count_nonzero(usable))
-    mean_n, se_n = _mean_se(n_final.astype(float))
-    mean_h, se_h = _mean_se(entropy[usable])
-    mean_l, se_l = _mean_se(length[usable])
+    # reduced as float64; an int32 column gives the same bits only while its sum is exact
+    (mean_n,), (se_n,) = _column_stats(n_final[:, None].astype(float))
+    # the 1-D selections take a few µs, and measured[usable, 1:] takes several times as long
+    (mean_h, mean_l), (se_h, se_l) = _column_stats(np.column_stack((entropy[usable], length[usable])))
 
     try:
         a_h = analytic.expected_entropy(params)
@@ -223,7 +218,7 @@ def sweep(config: EnsembleConfig, log=_STDERR) -> list[EnsembleStats]:
     start = time.perf_counter()
     tallies = grid_tallies(grid, max(config.depths), config.seed, config.samples)
     for p, params, (nodes, leaves) in zip(config.p_values, grid, tallies):
-        leaf_stats = _leaf_stats(leaves)
+        leaf_stats = _column_stats(leaves)
         for depth, measured in zip(config.depths, row_measures(leaves, params.p, config.depths)):
             rows.append(_cell_stats(params, config.seed, nodes, leaf_stats, depth, measured))
             now = time.perf_counter()

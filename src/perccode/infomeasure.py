@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import unit_interval
+from .analytic import integer, unit_interval
 
 __all__ = ["ConfigMeasures", "measures", "row_measures"]
 
@@ -141,7 +141,7 @@ def row_measures(leaves: np.ndarray, p: float, depths: Iterable[int]) -> Iterato
     which NumPy's differ from in the last bit for a few inputs in a thousand.
     """
     p = unit_interval("p", p)
-    depths = list(depths)
+    depths = [integer("depth", d, 0) for d in depths]
     cuts = sorted(set(depths)) or [0]
     if leaves.shape[1] == 0:
         # leafless, as a zero column says too, which unlike a 0-byte row has a key

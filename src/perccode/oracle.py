@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import ModelParams
+from .analytic import ModelParams, integer
 from .infomeasure import row_measures
 
 __all__ = [
@@ -73,9 +73,7 @@ class ExactStats:
 def node_distribution(params: ModelParams, n: int) -> np.ndarray:
     """Exact law of the generation-n node count, entry k being P(N_n = k), via
     repeated polynomial substitution f_n = (p * f_{n-1} + q)^2, f_0 = identity."""
-    if n < 0:
-        raise ValueError(f"generation must be >= 0, got {n}")
-    if n > MAX_DIST_GENERATION:
+    if integer("generation", n, 0) > MAX_DIST_GENERATION:
         raise SizeError(f"generation {n} exceeds cap {MAX_DIST_GENERATION}")
     coeffs = np.array([0.0, 1.0])
     for _ in range(n):
@@ -94,9 +92,7 @@ def joint_leaf_distribution(params: ModelParams, n: int) -> np.ndarray:
     count is Binomial(j, u1), whose law is the coefficients of
     (u0 + u1 * zeta)^j: row j of the node law's thinning matrix.
     """
-    if n < 1:
-        raise ValueError(f"generation must be >= 1, got {n}")
-    if n > MAX_JOINT_GENERATION:
+    if integer("generation", n, 1) > MAX_JOINT_GENERATION:
         raise SizeError(f"generation {n} exceeds cap {MAX_JOINT_GENERATION}")
     nodes = node_distribution(params, n)
     thinning, row = np.zeros((len(nodes), len(nodes))), np.array([1.0])
@@ -176,9 +172,7 @@ def exact_enumeration(params: ModelParams, depth: int) -> ExactStats:
     one exact sum of count * fl(w_k * value) over at most (E + 1) x 10 groups,
     rounded once: the bits ``math.fsum`` gives over all 2^E products.
     """
-    if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
-    if depth > MAX_ENUM_DEPTH:
+    if integer("depth", depth, 0) > MAX_ENUM_DEPTH:
         raise SizeError(f"depth {depth} exceeds cap {MAX_ENUM_DEPTH}")
     p, q = params.p, params.q
     n_edges = 2 ** (depth + 1) - 2

@@ -153,7 +153,7 @@ class SampleStreams:
         self._key[1] = index
         # Philox makes 4 uniforms per counter step, stepping the counter
         # first: after 4c of them the counter reads c and the buffer is spent
-        self._counter[0] = position // 4
+        self._counter[0] = integer("position", position, 0) // 4
         self._generator.bit_generator.state = self._state
         if position % 4:
             self._generator.random(position % 4)

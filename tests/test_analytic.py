@@ -1,11 +1,12 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from perccode import analytic, oracle, percolate
+from perccode import analytic, codec, oracle, percolate
 from perccode.analytic import DomainError, ModelParams
 from perccode.infomeasure import row_measures
 
@@ -35,6 +36,74 @@ def test_params_probability_partitions(p):
 def test_params_rejects_out_of_range(bad):
     with pytest.raises(DomainError):
         ModelParams(bad)
+
+
+_BOOK = codec.CodeBook(("0", "10", "11"))
+# each takes the one argument a case varies; the other arguments are fixed and valid
+_CALLS = {
+    "node_moments": lambda n: analytic.node_moments(ModelParams(0.6), n),
+    "leaf_moments": lambda n: analytic.leaf_moments(ModelParams(0.6), n),
+    "pgf_iterate": lambda n: analytic.pgf_iterate(ModelParams(0.6), n, 0.3),
+    "node_distribution": lambda n: oracle.node_distribution(ModelParams(0.6), n),
+    "joint_leaf_distribution": lambda n: oracle.joint_leaf_distribution(ModelParams(0.6), n),
+    "exact_enumeration": lambda depth: oracle.exact_enumeration(ModelParams(0.6), depth),
+    "ModelParams": ModelParams,
+    "bernoulli_weights": lambda p: codec.bernoulli_weights(_BOOK, p),
+    "SampleStreams.at": lambda position: percolate.SampleStreams(1, 4).at(2, position).random(3),
+    "encode": lambda i: codec.encode(_BOOK, [i]),
+    "row_measures": lambda depth: list(row_measures(np.ones((3, 4), dtype=np.int32), 0.5, [depth])),
+}
+
+
+# every case once returned a value or failed inside NumPy or Python's operators
+@pytest.mark.parametrize(
+    "call, name, bad",
+    [
+        ("node_moments", "generation count", 2.5),
+        ("node_moments", "generation count", True),
+        ("leaf_moments", "generation count", 1.5),
+        ("pgf_iterate", "generation count", 2.5),
+        ("node_distribution", "generation", True),
+        ("node_distribution", "generation", 2.0),
+        ("joint_leaf_distribution", "generation", 2.0),
+        ("exact_enumeration", "depth", True),
+        ("exact_enumeration", "depth", 2.0),
+        ("ModelParams", "p", True),
+        ("ModelParams", "p", "0.5"),
+        ("bernoulli_weights", "p", True),
+        ("SampleStreams.at", "position", 4.5),
+        ("SampleStreams.at", "position", -4),
+        ("encode", "symbol index", True),
+        ("encode", "symbol index", 1.0),
+        ("row_measures", "depth", 2.0),
+        ("row_measures", "depth", -1),
+    ],
+)
+def test_counts_and_probabilities_are_refused_by_name(call, name, bad):
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be .*, got {re.escape(repr(bad))}$"):
+        _CALLS[call](bad)
+
+
+@pytest.mark.parametrize(
+    "call, good, numpy_good",
+    [
+        ("node_moments", 3, np.int64(3)),
+        ("leaf_moments", 3, np.int64(3)),
+        ("pgf_iterate", 3, np.uint8(3)),
+        ("node_distribution", 3, np.int64(3)),
+        ("joint_leaf_distribution", 3, np.int32(3)),
+        ("exact_enumeration", 2, np.int64(2)),
+        ("ModelParams", 0.6, np.float64(0.6)),
+        ("bernoulli_weights", 0.5, np.float32(0.5)),
+        ("SampleStreams.at", 6, np.int64(6)),
+        ("encode", 1, np.int64(1)),
+        ("row_measures", 2, np.int64(2)),
+    ],
+)
+def test_numpy_counts_and_probabilities_still_pass(call, good, numpy_good):
+    got, expected = (_CALLS[call](value) for value in (numpy_good, good))
+    # a dataclass result field by field, since ExactStats holds arrays
+    np.testing.assert_equal(getattr(got, "__dict__", got), getattr(expected, "__dict__", expected))
 
 
 def test_pgf_eval_examples():

@@ -203,6 +203,32 @@ def _mean_se(values):
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(len(values)))
 
 
+@pytest.mark.parametrize("rows", [0, 1, 2, 8193, 10**6])
+def test_column_stats_is_the_per_column_mean_and_se_bit_for_bit(rows):
+    # N_final goes in as one float column and (H, L) as a two-column float block
+    rng = np.random.default_rng(3101)
+    depth = 2
+    nodes = rng.integers(0, 2**24, (rows, depth + 1), dtype=np.int32)
+    measured = rng.random((rows, 3)) * rng.choice([1e-3, 1.0, 1e3], (rows, 3))
+    measured[rng.random(rows) < 0.1, 1:] = np.nan
+    usable = ~np.isnan(measured[:, 1])
+    columns = [nodes[:, depth].astype(float), measured[:, 1][usable], measured[:, 2][usable]]
+    expected = [_mean_se(column) for column in columns]
+    n_stats = ensemble._column_stats(nodes[:, depth][:, None].astype(float))
+    h_l_stats = ensemble._column_stats(np.column_stack(columns[1:]))
+    assert [*zip(*n_stats), *zip(*h_l_stats)] == expected
+    # the int32 column reduces through NumPy's cast buffer, 8192 values a chunk, and
+    # still gives the same bits: its sums are integers below 2**53, so exact in any order
+    assert ensemble._column_stats(nodes[:, depth][:, None]) == n_stats
+    if rows:
+        stats = ensemble._cell_stats(ModelParams(0.5), 1, nodes, ([], []), depth, measured)
+        assert [
+            (stats.mean_N_final, stats.se_N_final),
+            (stats.mean_H_bits, stats.se_H_bits),
+            (stats.mean_L, stats.se_L),
+        ] == expected
+
+
 def reference_ensemble(params, depth, samples, seed):
     """One cell through the per-sample path: a new stream, ``sample_tally``
     and ``measures`` for every sample, reduced over full per-sample arrays."""

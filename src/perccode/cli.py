@@ -13,10 +13,12 @@ they take one ``--p`` and one ``--depth``, and a repeated flag keeps its
 last value.  Only ``analytic --p`` and ``sweep --p``/``--depth`` repeat.
 On every subcommand ``--out PATH`` writes the output to PATH instead of stdout;
 an empty PATH, a directory, or a PATH whose directory does not exist is refused
-before any work.
+before any work.  Each subcommand returns its text and writes nothing; ``main``
+writes it once, after the subcommand returns, so a failed one writes nothing.
 
 Exit codes: 0 success, 2 usage error, 1 domain/runtime error, including
-an allocation the machine cannot make.  Every run logs its full
+an allocation the machine cannot make or a cluster JSON nested deeper than
+the json module can follow.  Every run logs its full
 parameter set and the RNG version tag to stderr.  Seeds default to the
 fixed constant ``DEFAULT_SEED`` so bare invocations are reproducible.
 ``build_parser`` builds the parser once per process, and each ``main`` reuses it.
@@ -56,22 +58,6 @@ class _Given(argparse.Action):
             parser.error(f"argument --cluster: not allowed with {min(given - {'--cluster'})}")
 
 
-def _emit(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="ascii", newline="") as fh:
-            fh.write(text)
-
-
-def _json_too_deep() -> ValueError:
-    # the json module recurses once per nesting level of a document
-    return ValueError(
-        "cluster JSON nests deeper than Python's json module can follow "
-        f"(about {sys.getrecursionlimit()} levels, the recursion limit)"
-    )
-
-
 def _analytic_table(p: float) -> dict:
     params = ModelParams(p)
     # lambda (and with it the expected entropy/length) must exist for the table
@@ -93,11 +79,9 @@ def _analytic_table(p: float) -> dict:
     return table
 
 
-def _cmd_analytic(args: argparse.Namespace) -> int:
+def _cmd_analytic(args: argparse.Namespace) -> str:
     tables = [_analytic_table(p) for p in args.p or [0.5]]
-    doc = tables[0] if len(tables) == 1 else tables
-    _emit(json.dumps(doc, indent=2) + "\n", args.out)
-    return 0
+    return json.dumps(tables[0] if len(tables) == 1 else tables, indent=2) + "\n"
 
 
 def _sample_cluster_from_args(args: argparse.Namespace) -> percolate.Cluster:
@@ -105,66 +89,50 @@ def _sample_cluster_from_args(args: argparse.Namespace) -> percolate.Cluster:
     return percolate.sample_cluster(ModelParams(args.p), args.depth, stream)
 
 
-def _cmd_sample(args: argparse.Namespace) -> int:
+def _cmd_sample(args: argparse.Namespace) -> str:
     cluster = _sample_cluster_from_args(args)
     if args.format == "dot":
-        _emit(percolate.cluster_to_dot(cluster), args.out)
-    else:
-        try:
-            text = json.dumps(percolate.cluster_to_json(cluster), indent=2)
-        except RecursionError:
-            raise _json_too_deep() from None
-        _emit(text + "\n", args.out)
-    return 0
+        return percolate.cluster_to_dot(cluster)
+    return json.dumps(percolate.cluster_to_json(cluster), indent=2) + "\n"
 
 
-def _cmd_codebook(args: argparse.Namespace) -> int:
+def _cmd_codebook(args: argparse.Namespace) -> str:
     if args.cluster is not None:
         with open(args.cluster, "r", encoding="ascii") as fh:
-            try:
-                doc = json.load(fh)
-            except RecursionError:
-                raise _json_too_deep() from None
-        cluster = percolate.cluster_from_json(doc)
+            cluster = percolate.cluster_from_json(json.load(fh))
     else:
         cluster = _sample_cluster_from_args(args)
     book = codec.extract_codebook(cluster)
     if not book.words:
         raise ValueError("the cluster has no leaf above its depth bound, so its code book is empty")
     weights = codec.bernoulli_weights(book, args.p) if args.weights else None
-    _emit(codec.format_codebook(book, weights), args.out)
-    return 0
+    return codec.format_codebook(book, weights)
 
 
-def _cmd_ensemble(args: argparse.Namespace) -> int:
+def _cmd_ensemble(args: argparse.Namespace) -> str:
     stats = ensemble.run_ensemble(ModelParams(args.p), args.depth, args.samples, args.seed)
-    _emit(json.dumps(vars(stats), indent=2) + "\n", args.out)
-    return 0
+    return json.dumps(vars(stats), indent=2) + "\n"
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> str:
     config = ensemble.EnsembleConfig(
         p_values=args.p, depths=args.depth or [8], samples=args.samples, seed=args.seed
     )
-    _emit(ensemble.csv_text(ensemble.sweep(config)), args.out)
-    return 0
+    return ensemble.csv_text(ensemble.sweep(config))
 
 
-def _cmd_oracle(args: argparse.Namespace) -> int:
+def _cmd_oracle(args: argparse.Namespace) -> str:
     doc = dict(vars(oracle.exact_enumeration(ModelParams(args.p), args.depth)))
     doc["node_distributions"] = [d.tolist() for d in doc.pop("node_distributions")]
-    _emit(json.dumps(doc, indent=2) + "\n", args.out)
-    return 0
+    return json.dumps(doc, indent=2) + "\n"
 
 
-def _cmd_decode(args: argparse.Namespace) -> int:
+def _cmd_decode(args: argparse.Namespace) -> str:
     with open(args.book, "r", encoding="ascii") as fh:
         book = codec.parse_codebook(fh.read())
     indices = codec.decode(book, args.bits)
     labels = codec.symbol_labels(book)
-    doc = {"indices": indices, "symbols": [labels[i] for i in indices]}
-    _emit(json.dumps(doc) + "\n", args.out)
-    return 0
+    return json.dumps({"indices": indices, "symbols": [labels[i] for i in indices]}) + "\n"
 
 
 def _cell(depth: int) -> argparse.ArgumentParser:
@@ -257,10 +225,23 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError(f"--out {args.out!r}: not a file path")
         if args.out is not None and not os.path.isdir(os.path.dirname(args.out) or "."):
             raise FileNotFoundError(f"--out {args.out}: no directory {os.path.dirname(args.out)}")
-        return args.func(args)
+        text = args.func(args)
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w", encoding="ascii", newline="") as fh:
+                fh.write(text)
+        return 0
+    except RecursionError:
+        # only the json module recurses here, once per nesting level of a document
+        message = (
+            "cluster JSON nests deeper than Python's json module can follow "
+            f"(about {sys.getrecursionlimit()} levels, the recursion limit)"
+        )
     except (ValueError, OSError, MemoryError) as exc:
-        print(f"perccode {args.command}: error: {exc}", file=sys.stderr)
-        return 1
+        message = str(exc)
+    print(f"perccode {args.command}: error: {message}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -130,7 +130,8 @@ def row_measures(leaves: np.ndarray, p: float, depths: Iterable[int]) -> Iterato
     """``(Lambda, entropy, average length)`` of each row of an integer matrix
     of leaf counts L_0 ... L_{d-1} cut to its first d columns, for each d of
     ``depths`` in turn: an ``(n, 3)`` float array made as it is asked for,
-    equal to :func:`measures` row by row, with NaN for its None.
+    equal to :func:`measures` row by row, with NaN for its None.  A depth
+    past the matrix's columns raises ValueError.
 
     Each distinct row, keyed by its bytes in the matrix's own dtype and
     widened to int64, is measured once.  One cascade of
@@ -143,6 +144,8 @@ def row_measures(leaves: np.ndarray, p: float, depths: Iterable[int]) -> Iterato
     p = unit_interval("p", p)
     depths = [integer("depth", d, 0) for d in depths]
     cuts = sorted(set(depths)) or [0]
+    if cuts[-1] > leaves.shape[1]:
+        raise ValueError(f"depth {cuts[-1]} cuts past the matrix's {leaves.shape[1]} leaf columns")
     if leaves.shape[1] == 0:
         # leafless, as a zero column says too, which unlike a 0-byte row has a key
         leaves = np.zeros((len(leaves), 1), dtype=np.int64)

@@ -206,8 +206,8 @@ _FIRST_FACTOR = 2
 # No block holds more uniforms: a supercritical cluster outgrows any block
 # worth drawing, so only its first generations are tallied in lockstep.
 _BLOCK_CAP = 1024
-# Uniforms drawn at once (chunk x largest block), and flags a job tallies at
-# once (span x its own block): with their running counts, about 1 MB in all.
+# Uniforms drawn and flags tallied at once (chunk x largest block): with
+# their running counts, about 1 MB in all.
 _CHUNK_UNIFORMS = 1 << 16
 
 
@@ -232,14 +232,14 @@ def _tally_blocks(jobs, depth, streams, rows, start, held):
     past their block and their packed flags or, when ``last``, each one's ``(gen, offset,
     N_gen)``: generation ``gen``, the first to run past, starts ``offset`` in.
 
-    Rows are drawn in chunks sized by the largest block, and each job tallies a span of
-    whole chunks sized by its own, one generation at a time for all of them.  Generation g
-    of a sample reads nodes s_g .. s_g + N_g - 1 of its block, so with S[j] = C + 2^16 D for
-    the open edges C < 2^16 and the leaves D among its first j nodes, N_{g+1} + 2^16 L_g is
-    S at s_g + N_g less S at s_g.  The span's sums lie flat, row r's from r (k/2 + 1), and
-    each row holds s_g there, clamped at its block's end: a generation is one ``take``.  A
-    row's counts are exact up to the first generation whose batch ends past the block,
-    2 (N_0 + .. + N_gen) > k, so each span reads off which rows ran past and where; gen >= 1,
+    Rows are drawn in chunks sized by the largest block, and each job tallies a chunk as it
+    is drawn, one generation at a time for all its rows.  Generation g of a sample reads
+    nodes s_g .. s_g + N_g - 1 of its block, so with S[j] = C + 2^16 D for the open edges
+    C < 2^16 and the leaves D among its first j nodes, N_{g+1} + 2^16 L_g is S at s_g + N_g
+    less S at s_g.  The chunk's sums lie flat, row r's from r (k/2 + 1), and each row holds
+    s_g there, clamped at its block's end: a generation is one ``take``.  A row's counts are
+    exact up to the first generation whose batch ends past the block,
+    2 (N_0 + .. + N_gen) > k, so each chunk reads off which rows ran past and where; gen >= 1,
     as the root fits any block.  A live row spends a node a generation, so by generation
     k/2 each row is extinct or past its block, and the rest count zero untallied.
     """
@@ -247,26 +247,22 @@ def _tally_blocks(jobs, depth, streams, rows, start, held):
         return [(rows, np.empty((0, 3), int))] * len(jobs)
     top = max(k for _, k, *_ in jobs)
     chunk = min(len(rows), _CHUNK_UNIFORMS // top)
-    spans = [min(len(rows), _CHUNK_UNIFORMS // k // chunk * chunk) for _, k, *_ in jobs]
-    # a span of each job's flags fills a chunk at a time, and spans are tallied one at a time
-    work = [(np.empty((span, k), bool), [], []) for span, (_, k, *_) in zip(spans, jobs)]
-    uniforms, weight = np.empty((chunk, top - start)), np.zeros(258, np.int32)
+    flags, uniforms = np.empty((chunk, top), bool), np.empty((chunk, top - start))
+    work, weight = [([], []) for _ in jobs], np.zeros(258, np.int32)
     # a node's two flags read as one 16-bit word: its open edges, plus 2**16 if it is a leaf
     weight[[0, 1, 256, 257]] = 1 << 16, 1, 1, 2
     for lo in range(0, len(rows), chunk):
         hi = min(lo + chunk, len(rows))
         for r, i in enumerate(rows[lo:hi].tolist()):
             streams.at(i, start).random(out=uniforms[r])
-        for (p, k, nodes, leaves, last), (flags, outgrown, carry) in zip(jobs, work):
-            at = lo % len(flags)
+        n, batch = hi - lo, rows[lo:hi]
+        for (p, k, nodes, leaves, last), (outgrown, carry) in zip(jobs, work):
+            f, gens = flags[:n, :k], min(depth, k // 2)
             if start:
-                flags[at : at + hi - lo, :start] = np.unpackbits(held[lo:hi], axis=1, count=start)
-            np.less(uniforms[: hi - lo, : k - start], p, out=flags[at : at + hi - lo, start:])
-            if hi % len(flags) and hi < len(rows):  # a span is tallied once full
-                continue
-            n, batch, gens = at + hi - lo, rows[lo - at : hi], min(depth, k // 2)
+                f[:, :start] = np.unpackbits(held[lo:hi], axis=1, count=start)
+            np.less(uniforms[:n, : k - start], p, out=f[:, start:])
             sums, counts = np.empty((n, k // 2 + 1), np.int32), np.empty((n, gens), np.int32)
-            np.cumsum(weight.take(flags[:n].view(_PAIR)), axis=1, out=sums[:, 1:])
+            np.cumsum(weight.take(f.view(_PAIR)), axis=1, out=sums[:, 1:])
             first = np.arange(n) * (k // 2 + 1)
             # S[0] = 0 is never gathered: every sample reads its root's flags
             before, stops, count = 0, first + k // 2, np.ones(n, dtype=np.int32)
@@ -286,8 +282,8 @@ def _tally_blocks(jobs, depth, streams, rows, start, held):
                 gen = np.argmax(ends[past] > k, axis=1)
                 carry.append(np.stack([gen, ends[past, gen - 1], nodes[batch[past], gen]], axis=1))
             else:
-                carry.append(np.packbits(flags[:n][past], axis=1))
-    return [(np.concatenate(outgrown), np.concatenate(carry)) for _, outgrown, carry in work]
+                carry.append(np.packbits(f[past], axis=1))
+    return [(np.concatenate(outgrown), np.concatenate(carry)) for outgrown, carry in work]
 
 
 def grid_tallies(grid: list[ModelParams], depth_bound: int, seed: int, samples: int):

@@ -445,15 +445,49 @@ def test_ensemble_cell_json(capsys):
     assert doc["mean_leaf_counts"][0] == 1.0
 
 
-def test_ensemble_out_writes_the_stdout_json(capsys, tmp_path):
-    argv = ["ensemble", "--p", "0.6", "--depth", "6", "--samples", "40", "--seed", "3"]
-    code, stdout_doc, _ = run_cli(capsys, *argv)
-    assert code == 0
-    path = tmp_path / "cell.json"
-    code, out, _ = run_cli(capsys, *argv, "--out", str(path))
+# per subcommand, an argv that succeeds and one that fails; BOOK is a code book file
+_WRITES = {
+    "analytic": (["--p", "0.5", "--p", "0.6"], ["--p", "0.75"]),
+    "sample": (["--p", "0.6", "--depth", "6", "--format", "dot"], ["--p", "0.9", "--depth", "40"]),
+    "codebook": (
+        ["--p", "0.7", "--depth", "9", "--seed", "11", "--index", "3", "--weights"],
+        ["--p", "1", "--depth", "2"],
+    ),
+    "ensemble": (
+        ["--p", "0.6", "--depth", "6", "--samples", "40", "--seed", "3"],
+        ["--p", "0.5", "--depth", "4", "--samples", str(10**15)],
+    ),
+    "sweep": (
+        ["--p", "0.5", "--p", "0.6", "--depth", "4", "--depth", "6", "--samples", "40"],
+        ["--p", "0.5", "--depth", "4", "--samples", str(10**15)],
+    ),
+    "oracle": (["--p", "0.6", "--depth", "2"], ["--depth", "4"]),
+    "decode": (["--book", "BOOK", "--bits", "000100110"], ["--book", "BOOK", "--bits", "2"]),
+}
+
+
+@pytest.mark.parametrize("command", list(_WRITES))
+def test_out_writes_the_stdout_bytes_and_a_failure_writes_nothing(
+    capsys, monkeypatch, tmp_path, seven_leaf_paths, command
+):
+    book = seven_leaf_paths[1]
+    ok, failing = ([book if a == "BOOK" else a for a in argv] for argv in _WRITES[command])
+    code, stdout_text, _ = run_cli(capsys, command, *ok)
+    assert code == 0 and stdout_text
+    path = tmp_path / "out.txt"
+    code, out, _ = run_cli(capsys, command, *ok, "--out", str(path))
     assert code == 0
     assert out == ""
-    assert path.read_text(encoding="ascii") == stdout_doc
+    assert path.read_bytes() == stdout_text.encode("ascii")
+    path.unlink()
+    # sample's p = 0.9 frontier outgrows a cap of 64 uniforms a generation by generation 6
+    monkeypatch.setattr(percolate, "MAX_GENERATION_UNIFORMS", 64)
+    for argv in ([], ["--out", str(path)]):
+        code, out, err = run_cli(capsys, command, *failing, *argv)
+        assert code == 1
+        assert out == ""
+        assert f"perccode {command}: error:" in err
+        assert not path.exists()
 
 
 @pytest.mark.parametrize("command", ["ensemble", "sweep"])

@@ -296,6 +296,16 @@ def test_row_measures_of_no_rows(depth):
         at_own_depth(np.zeros((0, depth), dtype=np.int64), 1.5)
 
 
+@pytest.mark.parametrize("depths", [[10], [4, 5]])
+def test_row_measures_refuses_depths_past_its_columns(depths):
+    # a cut past the last column has no counts to read
+    with pytest.raises(ValueError, match=f"depth {max(depths)} cuts past the matrix's 4 leaf"):
+        list(row_measures(np.zeros((3, 4), dtype=np.int32), 0.5, depths))
+    # a depth-0 cut of a matrix with no columns, as the oracle's depth 0 makes, still answers
+    (got,) = row_measures(np.zeros((3, 0), dtype=np.int64), 0.5, [0])
+    assert np.array_equal(got, [[0.0, math.nan, math.nan]] * 3, equal_nan=True)
+
+
 def test_row_measures_refuses_counts_whose_length_terms_overflow():
     largest = np.iinfo(np.int64).max // 4
     assert not np.isnan(at_own_depth(np.array([[0, 0, 0, 0, largest]]), 0.5)).any()

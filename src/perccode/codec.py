@@ -168,7 +168,7 @@ def format_codebook(book: CodeBook, weights: list[float] | None = None) -> str:
         return "".join(w + "\n" for w in book.words)
     if len(weights) != len(book.words):
         raise ValueError("need exactly one weight per codeword")
-    return "".join(f"{w} {x!r}\n" for w, x in zip(book.words, weights))
+    return "".join(f"{w} {float(x)!r}\n" for w, x in zip(book.words, weights))
 
 
 def parse_codebook(text: str) -> CodeBook:

@@ -117,21 +117,14 @@ def _measured(rows: np.ndarray, lam: np.ndarray, num: np.ndarray, powers: np.nda
     return np.column_stack([lam, entropy, length])
 
 
-def _spread(measured: np.ndarray, inverse: np.ndarray, at: list[int]) -> Iterator[np.ndarray]:
-    # the last cut lets go of the distinct rows first, so that its holder holds no more
-    for k, i in enumerate(at, 1):
-        cut = measured[i].take(inverse, axis=0)
-        if k == len(at):
-            del measured, inverse
-        yield cut
-
-
 def row_measures(leaves: np.ndarray, p: float, depths: Iterable[int]) -> Iterator[np.ndarray]:
     """``(Lambda, entropy, average length)`` of each row of an integer matrix
     of leaf counts L_0 ... L_{d-1} cut to its first d columns, for each d of
     ``depths`` in turn: an ``(n, 3)`` float array made as it is asked for,
     equal to :func:`measures` row by row, with NaN for its None.  A depth
-    past the matrix's columns raises ValueError.
+    past the matrix's columns raises ValueError, as do counts that are not
+    integers (bool included), a negative count, and a count whose n * L_n
+    overflows int64.
 
     Each distinct row, keyed by its bytes in the matrix's own dtype and
     widened to int64, is measured once.  One cascade of
@@ -146,10 +139,10 @@ def row_measures(leaves: np.ndarray, p: float, depths: Iterable[int]) -> Iterato
     cuts = sorted(set(depths)) or [0]
     if cuts[-1] > leaves.shape[1]:
         raise ValueError(f"depth {cuts[-1]} cuts past the matrix's {leaves.shape[1]} leaf columns")
-    if leaves.shape[1] == 0:
-        # leafless, as a zero column says too, which unlike a 0-byte row has a key
-        leaves = np.zeros((len(leaves), 1), dtype=np.int64)
-    leaves = np.ascontiguousarray(leaves[:, : max(cuts[-1], 1)])
+    if leaves.dtype.kind not in "iu":  # a float would be truncated, and bool is no count
+        raise ValueError(f"leaf counts must be integers, got dtype {leaves.dtype}")
+    # a depth-0 cut is leafless, as a zero column says, which unlike a 0-byte row has a key
+    leaves = np.ascontiguousarray(leaves[:, : cuts[-1]]) if cuts[-1] else np.zeros((len(leaves), 1), np.int64)
     n_rows, depth = leaves.shape
     row_bytes = np.dtype((np.void, leaves.itemsize * depth))
     distinct, inverse = {}, np.empty(n_rows, dtype=np.intp)
@@ -158,8 +151,10 @@ def row_measures(leaves: np.ndarray, p: float, depths: Iterable[int]) -> Iterato
         inverse[lo : lo + len(keys)] = [distinct.setdefault(key, len(distinct)) for key in keys]
     counts = np.frombuffer(b"".join(distinct), leaves.dtype).reshape(-1, depth)
     del distinct  # its keys, joined in counts
-    if depth > 1 and counts.max(initial=0) > np.iinfo(np.int64).max // (depth - 1):
-        raise ValueError(f"a leaf count past 2**63 / {depth - 1} overflows n * L_n in int64")
+    if counts.min(initial=0) < 0:
+        raise ValueError(f"leaf counts must be >= 0, got {counts.min()}")
+    if counts.max(initial=0) > np.iinfo(np.int64).max // max(depth - 1, 1):
+        raise ValueError(f"a leaf count past 2**63 / {max(depth - 1, 1)} overflows n * L_n in int64")
     powers = np.array([p**n for n in range(depth)])
     weights, lengths = powers[:, None], np.arange(depth)[:, None]
     measured = np.empty((len(cuts), len(counts), 3))
@@ -174,4 +169,4 @@ def row_measures(leaves: np.ndarray, p: float, depths: Iterable[int]) -> Iterato
             # zero counts add no term to a measure: only rows with a leaf past d change
             past = np.flatnonzero(rows[:, d:].any(axis=1))
             out[i, past] = _measured(rows[past, :d], lam[i, past], num[i, past], powers)
-    return _spread(measured, inverse, [cuts.index(d) for d in depths])
+    return (measured[cuts.index(d)].take(inverse, axis=0) for d in depths)

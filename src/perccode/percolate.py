@@ -55,8 +55,9 @@ MAX_GENERATION_UNIFORMS = 1 << 24
 # The counter of a new stream, ready-made: NumPy converts a Python int to 4 words slowly.
 _ZERO_COUNTER = np.zeros(4, np.uint64)
 _ZERO_COUNTER.flags.writeable = False
-# A node's two edge flags as one word: a dtype, which a view need not convert like a type.
-_PAIR = np.dtype(np.uint16)
+# A node's two edge flags as one little-endian word, left flag low: a dtype, which a view
+# need not convert like a type.
+_PAIR = np.dtype("<u2")
 
 
 # compared by identity: a generated == on lists of arrays would raise
@@ -226,11 +227,11 @@ def _block_sizes(p: float, depth: int) -> tuple[int, ...]:
 
 
 def _tally_blocks(jobs, depth, streams, rows, start, held):
-    """Tally the samples ``rows`` for each job ``(p, k, nodes, leaves, last)`` from their
-    first ``k`` uniforms, drawn once for all, into ``nodes[:, 1:]`` and ``leaves``; the pass
-    before ``held`` the first ``start`` as packed flags.  Return per job the rows that ran
-    past their block and their packed flags or, when ``last``, each one's ``(gen, offset,
-    N_gen)``: generation ``gen``, the first to run past, starts ``offset`` in.
+    """Tally the samples ``rows``, at least one, for each job ``(p, k, nodes, leaves, last)``
+    from their first ``k`` uniforms, drawn once for all, into ``nodes[:, 1:]`` and ``leaves``;
+    the pass before ``held`` the first ``start`` as packed flags.  Return per job the rows
+    that ran past their block and their packed flags or, when ``last``, each one's ``(gen,
+    offset, N_gen)``: generation ``gen``, the first to run past, starts ``offset`` in.
 
     Rows are drawn in chunks sized by the largest block, and each job tallies a chunk as it
     is drawn, one generation at a time for all its rows.  Generation g of a sample reads
@@ -243,8 +244,6 @@ def _tally_blocks(jobs, depth, streams, rows, start, held):
     as the root fits any block.  A live row spends a node a generation, so by generation
     k/2 each row is extinct or past its block, and the rest count zero untallied.
     """
-    if len(rows) == 0:
-        return [(rows, np.empty((0, 3), int))] * len(jobs)
     top = max(k for _, k, *_ in jobs)
     chunk = min(len(rows), _CHUNK_UNIFORMS // top)
     flags, uniforms = np.empty((chunk, top), bool), np.empty((chunk, top - start))
@@ -293,7 +292,7 @@ def grid_tallies(grid: list[ModelParams], depth_bound: int, seed: int, samples: 
     depth_bound, cluster_stream(seed, i))`` counts; no count exceeds 2^24, under
     ``MAX_GENERATION_UNIFORMS``.  Generation g reads from uniform ``2 * sum_{h<g} N_h``
     whatever the bound, so ``nodes[:, :d + 1]`` and ``leaves[:, :d]`` are the tallies at
-    depth bound ``d``.  Depth bound 0 draws nothing.
+    depth bound ``d``.  Depth bound 0, an empty grid or no samples draws nothing.
 
     Each sample is keyed once and draws the grid's largest first block K.  Each p tallies
     its first ``min(last, K)`` uniforms, ``last`` its own last block; only a p with
@@ -313,14 +312,14 @@ def grid_tallies(grid: list[ModelParams], depth_bound: int, seed: int, samples: 
     depth, streams = depth_bound, SampleStreams(seed, samples)
     out = [(np.ones((samples, depth + 1), np.int32), np.empty((samples, depth), np.int32))
            for _ in grid]
-    if depth == 0 or not grid:
+    if depth == 0 or not grid or samples == 0:
         return out
     blocks = [_block_sizes(params.p, depth) for params in grid]
     shared = max(s[0] for s in blocks)
     jobs = [(m.p, min(s[-1], shared), *t, s[-1] <= shared) for m, s, t in zip(grid, blocks, out)]
     passes = _tally_blocks(jobs, depth, streams, np.arange(samples), 0, None)
     for (p, _, nodes, leaves, fits), (rest, carry), s in zip(jobs, passes, blocks):
-        if not fits:
+        if not fits and len(rest):
             job = p, s[-1], nodes, leaves, True
             [(rest, carry)] = _tally_blocks([job], depth, streams, rest, shared, carry)
         # T(0) = -1 is no uint64, but p = 0 never resumes: its root's two uniforms fit any block
@@ -370,7 +369,7 @@ def cluster_to_json(cluster: Cluster) -> dict:
             else {"gen": gen, "left": nxt()} if k == 1
             else {"gen": gen, "right": nxt()} if k == 256
             else {"gen": gen}
-            for k in opens[gen].view("<u2").tolist()
+            for k in opens[gen].view(_PAIR).tolist()
         ]
     return {"depth_bound": cluster.depth_bound, "root": level[0]}
 

@@ -249,6 +249,15 @@ def test_format_with_weights(seven_leaf_book):
     assert parse_codebook(text).words == seven_leaf_book.words
 
 
+def test_format_writes_numpy_weights_as_floats(seven_leaf_book):
+    # NumPy 2's repr of its own float is "np.float64(0.5)"
+    assert format_codebook(CodeBook(("0", "1")), [np.float64(0.5)] * 2) == "0 0.5\n1 0.5\n"
+    weights = bernoulli_weights(seven_leaf_book, 0.5)
+    assert format_codebook(seven_leaf_book, np.array(weights)) == format_codebook(
+        seven_leaf_book, weights
+    )
+
+
 def test_format_refuses_the_empty_codeword():
     # a root-only book would write a blank line, or a bare weight, that
     # parse_codebook drops or rejects

@@ -167,6 +167,13 @@ def test_row_measures_of_depth_zero_rows():
     # no generation lies above a depth-0 bound, so no row has a leaf
     got = at_own_depth(np.zeros((3, 0), dtype=np.int64), 0.5)
     assert np.array_equal(got, [[0.0, math.nan, math.nan]] * 3, equal_nan=True)
+    # whatever the matrix holds past the cut, once per depth asked for
+    leaves = np.arange(15, dtype=np.int32).reshape(3, 5)
+    for depths in ([0], [0, 0]):
+        got = list(row_measures(leaves, 0.5, depths))
+        assert len(got) == len(depths)
+        for cut in got:
+            assert np.array_equal(cut, [[0.0, math.nan, math.nan]] * 3, equal_nan=True)
 
 
 def test_row_measures_across_key_chunks():
@@ -311,6 +318,26 @@ def test_row_measures_refuses_counts_whose_length_terms_overflow():
     assert not np.isnan(at_own_depth(np.array([[0, 0, 0, 0, largest]]), 0.5)).any()
     with pytest.raises(ValueError, match="overflows"):
         at_own_depth(np.array([[0, 0, 0, 0, largest + 1]]), 0.5)
+    # at depth 1 the bound is int64's own, which a uint64 count can pass
+    widest = np.array([[np.iinfo(np.int64).max]], dtype=np.uint64)
+    assert np.array_equal(at_own_depth(widest, 0.5), by_measures(widest, 0.5))
+
+
+@pytest.mark.parametrize(
+    "leaves, depth, message",
+    [
+        # truncated, its Lambda would read 0.5 where measures gives 1.35
+        (np.array([[0.5, 1.7]]), 2, "must be integers, got dtype float64"),
+        (np.array([[True, False]]), 2, "must be integers, got dtype bool"),
+        # its entropy would be NaN, with a divide-by-zero warning
+        (np.array([[1, -1]]), 2, "must be >= 0, got -1"),
+        # widened to int64 it would wrap, to Lambda = -9.2e18
+        (np.array([[2**63]], dtype=np.uint64), 1, r"past 2\*\*63 / 1 overflows"),
+    ],
+)
+def test_row_measures_refuses_counts_that_are_no_leaf_counts(leaves, depth, message):
+    with pytest.raises(ValueError, match=message):
+        row_measures(leaves, 0.5, [depth])
 
 
 def test_row_measures_rejects_bad_p():

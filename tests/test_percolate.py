@@ -688,6 +688,30 @@ def test_grid_passes_key_no_sample_below_the_shared_block(monkeypatch, ps, depth
     assert calls[samples:] == want
 
 
+@pytest.mark.parametrize("depth", [0, 12])
+def test_grid_of_no_samples_keys_no_stream(monkeypatch, depth):
+    calls = record_keyings(monkeypatch)
+    got = grid_tallies([ModelParams(0.45), ModelParams(0.9)], depth, 7, 0)
+    shapes = [(n.shape, n.dtype, l.shape, l.dtype) for n, l in got]
+    assert shapes == [((0, depth + 1), np.int32, (0, depth), np.int32)] * 2
+    assert calls == []
+
+
+def test_grid_continues_no_sample_when_none_outgrows_the_shared_block(monkeypatch):
+    # p = 0.55's last block of 576 is past the shared block of 144, but the most any
+    # of these 8 samples reads is 142 uniforms, so none is continued or resumed
+    calls = record_keyings(monkeypatch)
+    grid, depth, seed, samples = [ModelParams(0.45), ModelParams(0.55)], 16, 18, 8
+    got = grid_tallies(grid, depth, seed, samples)
+    assert [percolate._block_sizes(m.p, depth) for m in grid] == [(36, 144), (144, 576)]
+    for m, (nodes, leaves) in zip(grid, got):
+        for i in range(samples):
+            t = sample_tally(m, depth, cluster_stream(seed, i))
+            assert (nodes[i].tolist(), leaves[i].tolist()) == (t.node_counts, t.leaf_counts)
+            assert 2 * sum(t.node_counts[:depth]) <= 144
+    assert calls == [[i, 0, 144] for i in range(samples)]
+
+
 @pytest.mark.parametrize("p", [0.0, 0.3])
 def test_deep_tallies_hold_little_beyond_the_tallies(p):
     # a live row spends a node a generation, so a block of k uniforms is tallied for

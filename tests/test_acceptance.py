@@ -24,6 +24,7 @@ from perccode.percolate import (
 )
 
 from conftest import SEVEN_LEAF_WORDS, cluster_from_codewords, sweep_on_threads
+from transform_reference import transform_means
 
 
 def report(cid: str, label: str, ok: bool, detail: str = "") -> None:
@@ -168,6 +169,17 @@ def test_c6b_mean_length_doubles_outside_window():
         "the >2x threshold is unattainable because per-cluster average "
         "codeword length is bounded by depth-1 and grows ~linearly here"
     )
+
+
+def test_c6b_exact_ratio():
+    # C6b's two means exactly, from the transform reference: E[L] over clusters
+    # with a leaf at p = 0.7 grows 1.37459x from depth 12 to 18, short of 2x
+    low, high = (transform_means(0.7, d)["mean_avg_length"] for d in (12, 18))
+    ratio = high / low
+    ok = (low, high) == pytest.approx((5.4153, 7.4438), abs=5e-5) and abs(ratio - 1.37459) <= 5e-6
+    report("C6b-exact", "exact mean L ratio at p=0.7", ok,
+           f"L(12)={low:.4f} L(18)={high:.4f} ratio {ratio:.5f}")
+    assert ok
 
 
 def test_c7_coding_fixtures():

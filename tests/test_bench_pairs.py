@@ -53,8 +53,34 @@ def test_metrics_block_of_canned_result_lines():
     assert setup["ratio"] == 1.0 and setup["worse_by"] == 0.0 and setup["change_better_pairs"] == 0
     assert list(wall) == [
         "parent_median", "parent_q1", "parent_q3", "change_median", "change_q1", "change_q3",
-        "ratio", "change_better_pairs", "pairs", "worse_by", "bound", "within_bound",
+        "ratio", "change_better_pairs", "pairs", "worse_by", "bound", "within_bound", "claim_met",
     ]
+    # 3 of 4 pairs better: no gain may be claimed
+    assert not wall["claim_met"] and not rate["claim_met"] and not setup["claim_met"]
     # a change worse than its bound is out of it
     slow = [{**r, "metrics": {**r["metrics"], "peak_rss_mb": {"value": 1.2}}} for r in change]
     assert not bench_pairs.metrics_block(end_to_end, parent, slow)["peak_rss_mb"]["within_bound"]
+
+    # ten pairs; the parent's quartiles of 100..109 (or 10..19) are 5.5 apart
+    parent, change = [], []
+    for i in range(10):
+        rest = dict.fromkeys(names, 1.0)
+        old = {"clusters_per_s": 100.0 + i, "cluster_p50_ms": 10.0, "cluster_p95_ms": 10.0 + i}
+        new = {
+            # better by 20 in 9 pairs and tied in one, which counts for neither side
+            "clusters_per_s": 100.0 + i + (20.0 if i else 0.0),
+            # far better in 8 pairs, worse in 2
+            "cluster_p50_ms": 5.0 if i < 8 else 20.0,
+            # better in every pair, by less than the parent's spread
+            "cluster_p95_ms": 9.0 + i,
+        }
+        parent.append(bench_pairs.result_of(canned_stdout(True, **{**rest, **old})))
+        change.append(bench_pairs.result_of(canned_stdout(True, **{**rest, **new})))
+    block = bench_pairs.metrics_block(end_to_end, parent, change)
+    met = block["clusters_per_s"]
+    assert (met["parent_q1"], met["parent_q3"]) == pytest.approx((101.75, 107.25))
+    assert met["change_better_pairs"] == 9 and met["claim_met"]
+    assert block["cluster_p50_ms"]["change_better_pairs"] == 8
+    assert block["cluster_p50_ms"]["ratio"] == 0.5 and not block["cluster_p50_ms"]["claim_met"]
+    assert block["cluster_p95_ms"]["change_better_pairs"] == 10
+    assert not block["cluster_p95_ms"]["claim_met"]

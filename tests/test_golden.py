@@ -11,6 +11,7 @@ walk emits them in a different one than the depth-first walk that wrote
 the files.
 """
 
+import csv
 from pathlib import Path
 
 import pytest
@@ -68,6 +69,12 @@ CASES = {
     ],
     "ensemble-p0-d3-n1.json": ["ensemble", "--p", "0", "--depth", "3", "--samples", "1"],
 }
+
+
+def golden_rows(name: str) -> list[dict[str, str]]:
+    """The cells of a golden sweep CSV, read past its ``# rng_version`` line."""
+    lines = (GOLDEN / name).read_text(encoding="ascii").splitlines()
+    return list(csv.DictReader(line for line in lines if not line.startswith("#")))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

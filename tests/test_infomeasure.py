@@ -15,6 +15,7 @@ from perccode.percolate import (
 )
 
 from conftest import cluster_from_codewords
+from test_golden import CASES, golden_rows
 
 
 def make_tally(leaf_counts, depth_bound=None, node_counts=None):
@@ -343,3 +344,62 @@ def test_row_measures_refuses_counts_that_are_no_leaf_counts(leaves, depth, mess
 def test_row_measures_rejects_bad_p():
     with pytest.raises(ValueError):
         at_own_depth(np.ones((2, 3), dtype=np.int64), 1.5)
+
+
+# Gibbs: with leaf weights w_i = p^n_i / Lambda and the Kraft sum K = sum_n L_n 2^-n,
+# L - H + log2 K = D(w || 2^-n / K) >= 0, with equality at p = 1/2, where Lambda = K.  Counted
+# in ulps of m = max(L, H, 1), rounding moves the computed value by at most (k + 41) ulps for
+# k generations holding leaves: each leaf probability is off by at most 7 roundings, moving H
+# by 7u (H + 1/ln 2); log2, two products and the running sum add (k + 3)u H; L carries 9u,
+# log2 K 1.5u + 2u |log2 K| with |log2 K| <= 2m wherever the gap is small, and the two final
+# sums 6u m.  So 128 ulps hold for every row below, k <= 32.
+_GIBBS_ULPS = 128
+
+
+def kraft_gaps(leaves, p, depth):
+    """``(L - H + log2 K, b)`` of each row with a leaf, from ``row_measures``' H and L at
+    ``depth``, with b = 128 ulps of max(L, H, 1)."""
+    (measured,) = row_measures(leaves, p, [depth])
+    gaps = []
+    for row, (_, entropy, length) in zip(leaves[:, :depth].tolist(), measured.tolist()):
+        if not math.isnan(entropy):
+            kraft = math.fsum(count * 2.0**-n for n, count in enumerate(row))
+            bound = _GIBBS_ULPS * math.ulp(max(length, entropy, 1.0))
+            gaps.append((length - entropy + math.log2(kraft), bound))
+    return gaps
+
+
+@pytest.mark.parametrize("name", ["sweep.csv", "sweep-block.csv"])
+def test_every_golden_sweep_row_spends_at_least_its_kraft_deficit(name):
+    # the rows behind each cell of the golden sweep, drawn again as sweep draws them
+    argv = CASES[name]
+    ps, depths, (samples,), (seed,) = (
+        [float(v) for a, v in zip(argv, argv[1:]) if a == flag]
+        for flag in ("--p", "--depth", "--samples", "--seed")
+    )
+    depths = [int(d) for d in depths]
+    grid = grid_tallies([ModelParams(p) for p in ps], max(depths), int(seed), int(samples))
+    cells = {(float(row["p"]), int(row["depth"])): int(row["used"]) for row in golden_rows(name)}
+    for p, (_, leaves) in zip(ps, grid):
+        for depth in depths:
+            gaps = kraft_gaps(leaves, p, depth)
+            assert len(gaps) == cells[p, depth]  # the cell's rows with a leaf
+            assert all(gap >= -bound for gap, bound in gaps)
+            if p == 0.5:
+                assert all(abs(gap) <= bound for gap, bound in gaps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(min_value=2.0**-20, max_value=1.0)),
+    row=st.lists(st.one_of(st.integers(0, 3), st.integers(0, 2**24)), min_size=1, max_size=32),
+)
+@example(p=0.5, row=[0, 1, 1, 2**24])
+@example(p=0.5, row=[0] * 31 + [1])
+# K > 1: no prefix code, yet Gibbs' inequality holds
+@example(p=0.3, row=[2**24, 2**24, 2**24])
+def test_every_leaf_count_row_spends_at_least_its_kraft_deficit(p, row):
+    for gap, bound in kraft_gaps(np.array([row]), p, len(row)):
+        assert gap >= -bound
+        if p == 0.5:
+            assert abs(gap) <= bound

@@ -164,6 +164,20 @@ def test_depth_zero_cluster():
     assert t.node_counts[t.depth_bound] > 0  # the root itself sits at the depth bound
 
 
+def test_tally_stores_python_ints():
+    # NumPy's count returns numpy.int64, which json.dumps refuses: tally converts each
+    clusters = [
+        sample_cluster(ModelParams(p), 10, cluster_stream(3, i))
+        for p in (0.0, 0.5, 0.9, 1.0)
+        for i in range(4)
+    ]
+    clusters.append(sample_cluster(ModelParams(0.5), 2, FixtureStream([0.3, 0.7, 0.4, 0.6])))
+    for c in clusters:
+        t = tally(c)
+        assert {type(x) for x in t.node_counts + t.leaf_counts} == {int}
+        assert json.loads(json.dumps(vars(t))) == vars(t)
+
+
 def test_determinism_and_stream_independence():
     m = ModelParams(0.55)
     t1 = sample_tally(m, 10, cluster_stream(99, 3))

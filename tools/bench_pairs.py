@@ -6,8 +6,11 @@ Pair i runs the benchmark command of PARENT's ``BENCHMARK.json`` at seed S + i,
 ``run_seconds`` long and untraced, once in each checkout, PARENT first on even
 pairs and CHANGE first on odd ones; no bytecode is written.  The last stdout
 line is, for every end-to-end metric, both sides' median and quartiles, the
-ratio of the medians, the pairs in which CHANGE was better, and how much worse
-it is against the metric's bound, read with its direction from ``BENCHMARK.json``.
+ratio of the medians, the pairs in which CHANGE was better, how much worse it
+is against the metric's bound, read with its direction from ``BENCHMARK.json``,
+and whether a gain in it may be claimed: CHANGE better in at least nine tenths
+of the pairs, ties counting for neither, and its median better than PARENT's by
+more than PARENT's quartile spread.
 ``--out`` also writes each run's values and the seeds to FILE as JSON.
 """
 
@@ -48,15 +51,18 @@ def metrics_block(end_to_end: list[dict], parent: list[dict], change: list[dict]
         (q1, median, q3), (c1, c_median, c3) = _quartiles(old), _quartiles(new)
         ratio = round(c_median / median, 4)
         worse_by = round(ratio - 1 if lower else 1 - ratio, 4)
+        better = sum((b < a) if lower else (b > a) for a, b in zip(old, new))
+        gain = median - c_median if lower else c_median - median
         block[name] = {
             "parent_median": median, "parent_q1": q1, "parent_q3": q3,
             "change_median": c_median, "change_q1": c1, "change_q3": c3,
             "ratio": ratio,
-            "change_better_pairs": sum((b < a) if lower else (b > a) for a, b in zip(old, new)),
+            "change_better_pairs": better,
             "pairs": len(old),
             "worse_by": worse_by,
             "bound": metric["bound"],
             "within_bound": worse_by <= metric["bound"],
+            "claim_met": 10 * better >= 9 * len(old) and gain > q3 - q1,
         }
     return block
 

@@ -60,9 +60,10 @@ def extract_codebook(cluster: Cluster) -> CodeBook:
     # nodes at the depth bound carry no flags, so they never count as
     # leaves: the same rule as percolate.tally
     for flags in cluster.opens:
-        flags = flags.tolist()
+        # one iterator read twice per node: its left flag, then its right
+        flag = iter(flags.tolist())
         children = []
-        for path, left, right in zip(level, flags[0::2], flags[1::2]):
+        for path, left, right in zip(level, flag, flag):
             if left:
                 children.append(path + "0")
             if right:
@@ -92,10 +93,14 @@ def is_prefix_free(book: CodeBook) -> bool:
 def encode(book: CodeBook, symbols: list[int]) -> str:
     """Concatenate the codewords of the given entry indices."""
     words = book.words
+    n = len(words)
     out = []
     for i in symbols:
-        if not 0 <= integer("symbol index", i) < len(words):
-            raise IndexError(f"symbol index {i} out of range for {len(words)} codewords")
+        # integer() passes a plain int unchanged: only other types, bool among them, need it
+        if type(i) is not int:
+            integer("symbol index", i)
+        if not 0 <= i < n:
+            raise IndexError(f"symbol index {i} out of range for {n} codewords")
         out.append(words[i])
     return "".join(out)
 
@@ -168,7 +173,12 @@ def format_codebook(book: CodeBook, weights: list[float] | None = None) -> str:
         return "".join(w + "\n" for w in book.words)
     if len(weights) != len(book.words):
         raise ValueError("need exactly one weight per codeword")
-    return "".join(f"{w} {float(x)!r}\n" for w, x in zip(book.words, weights))
+    values = [float(x) for x in weights]
+    # repr, float to shortest decimal, is the dear step, and a book holds about one
+    # distinct weight per codeword length: repr each once.  A zero prints by its own
+    # repr, because 0.0 == -0.0 yet they print apart
+    text = {x: repr(x) for x in dict.fromkeys(values)}
+    return "".join(f"{w} {text[x] if x else repr(x)}\n" for w, x in zip(book.words, values))
 
 
 def parse_codebook(text: str) -> CodeBook:

@@ -258,6 +258,23 @@ def test_format_writes_numpy_weights_as_floats(seven_leaf_book):
     )
 
 
+def test_format_writes_each_weight_by_its_own_float_repr():
+    # values a cache keyed on a weight's value could merge: signed zeros (0.0 == -0.0),
+    # NaN (never equal to itself), a float32 beside the float it widens to, an int
+    # beside its float, 0-d arrays (unhashable) and NumPy floats
+    weights = [
+        0.0, -0.0, -0.0, 0.0, math.nan, float("nan"), np.float32(0.1), 0.10000000149011612,
+        1, 1.0, np.array(0.5), np.array(-0.0), np.float64(0.25), np.float64(-0.0),
+        np.float64(0.25), -math.inf, math.inf,
+    ]
+    words = tuple(format(i, "05b") for i in range(len(weights)))
+    text = format_codebook(CodeBook(words), weights)
+    assert text == "".join(f"{word} {float(x)!r}\n" for word, x in zip(words, weights))
+    assert [line.split()[1] for line in text.splitlines()[:6]] == [
+        "0.0", "-0.0", "-0.0", "0.0", "nan", "nan"
+    ]
+
+
 def test_format_refuses_the_empty_codeword():
     # a root-only book would write a blank line, or a bare weight, that
     # parse_codebook drops or rejects

@@ -23,6 +23,7 @@ from perccode.percolate import (
     tally,
 )
 
+import philox_reference
 from conftest import FixtureStream
 
 
@@ -325,6 +326,23 @@ def test_json_schema_shape():
     assert "left" not in doc["root"]["left"]
 
 
+@pytest.mark.parametrize("p", [0.3, 0.6, 0.7, 0.9])
+def test_json_reader_levels_are_writable_bool_arrays(p):
+    # samples 1 and 3 of seed 37 reach generation 2 at each p
+    clusters = [sample_cluster(ModelParams(p), 8, cluster_stream(37, i)) for i in (1, 3)]
+    read = [cluster_from_json(cluster_to_json(c)) for c in clusters]
+    for c, again in zip(clusters, read):
+        assert len(again.opens) == len(c.opens)
+        for level, flags in zip(again.opens, c.opens):
+            assert level.dtype == np.bool_
+            assert level.flags.c_contiguous and level.flags.writeable
+            assert np.array_equal(level, flags)
+    read[0].opens[0][:] = ~read[0].opens[0]
+    # a write lands in that level alone: not in the same cluster's others, nor another's
+    assert [f.tolist() for f in read[0].opens[1:]] == [f.tolist() for f in clusters[0].opens[1:]]
+    assert [f.tolist() for f in read[1].opens] == [f.tolist() for f in clusters[1].opens]
+
+
 def test_json_rejects_malformed():
     with pytest.raises(ValueError):
         cluster_from_json({"depth_bound": 2})
@@ -471,6 +489,20 @@ def test_sample_streams_reject_out_of_range_keys():
         SampleStreams(1, 2**64 + 1)
     with pytest.raises(IndexError):
         SampleStreams(1, 4).at(4)
+
+
+# the counter's first 64-bit word holds position // 4, so every position below 2**66
+# is reachable, and the ones past it are refused by name, not by NumPy's OverflowError
+@pytest.mark.parametrize("position", [2**66 - 4, 2**66 - 1])
+def test_sample_streams_reach_the_last_positions(position):
+    drawn = SampleStreams(3, 2).at(1, position).random(6).tolist()
+    assert drawn == philox_reference.uniforms(3, 1, position, 6)
+
+
+@pytest.mark.parametrize("position", [2**66, 2**66 + 3, 2**70])
+def test_sample_streams_refuse_positions_past_the_counter_word(position):
+    with pytest.raises(ValueError, match=f"^position must be < 2\\*\\*66, got {position}$"):
+        SampleStreams(3, 2).at(1, position)
 
 
 @pytest.mark.parametrize("seed, count", [(1.5, 4), (1, 4.0), (False, 4), (1, np.float32(2))])

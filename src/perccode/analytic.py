@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "DomainError",
@@ -72,31 +72,23 @@ def integer(name: str, value: int, low: int | None = None) -> int:
 class ModelParams:
     """Percolation density ``p`` and every constant derived from it.
 
-    ``p0, p1, p2`` are the offspring-count probabilities (q^2, 2pq, p^2);
-    ``u1`` is the probability that a node is a leaf (both edges closed)
-    and ``u0 = 1 - u1``; ``mu = 2p`` is the mean offspring count.
+    ``p`` is the one field; the rest are read-only properties of it.
+    ``q = 1 - p``; ``p0, p1, p2`` are the offspring-count probabilities
+    (q^2, 2pq, p^2); ``u1`` is the probability that a node is a leaf (both
+    edges closed) and ``u0 = 1 - u1``; ``mu = 2p`` is the mean offspring count.
     """
 
     p: float
-    q: float = field(init=False)
-    mu: float = field(init=False)
-    p0: float = field(init=False)
-    p1: float = field(init=False)
-    p2: float = field(init=False)
-    u0: float = field(init=False)
-    u1: float = field(init=False)
 
     def __post_init__(self):
-        p = unit_interval("p", self.p)
-        q = 1.0 - p
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "mu", 2.0 * p)
-        object.__setattr__(self, "p0", q * q)
-        object.__setattr__(self, "p1", 2.0 * p * q)
-        object.__setattr__(self, "p2", p * p)
-        object.__setattr__(self, "u1", q * q)
-        object.__setattr__(self, "u0", 2.0 * p * q + p * p)
+        object.__setattr__(self, "p", unit_interval("p", self.p))
+
+    q = property(lambda self: 1.0 - self.p)
+    mu = property(lambda self: 2.0 * self.p)
+    p0 = u1 = property(lambda self: self.q * self.q)
+    p1 = property(lambda self: 2.0 * self.p * self.q)
+    p2 = property(lambda self: self.p * self.p)
+    u0 = property(lambda self: self.p1 + self.p2)
 
 
 @dataclass(frozen=True)
@@ -226,13 +218,11 @@ def lambda_mean(params: ModelParams) -> float:
 def lambda_var(params: ModelParams) -> float:
     """Variance of the leaf-weight normalization over cluster realizations.
 
-    Equals 1/4 at p = 1/2 and 2p^2 q^3 / ((1 - 4p^3)(1 - 2p^2)) elsewhere;
-    the series behind it converges only for 4*p^3 < 1.  This older closed
-    form is not the true variance (1/8 at p = 1/2): see :func:`lambda_var_exact`.
+    Equals 2p^2 q^3 / ((1 - 4p^3)(1 - 2p^2)), exactly 1/4 at p = 1/2; the
+    series behind it converges only for 4*p^3 < 1.  This older closed form
+    is not the true variance (1/8 at p = 1/2): see :func:`lambda_var_exact`.
     """
     p, q = params.p, params.q
-    if p == 0.5:
-        return 0.25
     if 4.0 * p**3 >= 1.0:
         raise DomainError(
             f"leaf-weight variance series diverges at p={p!r}: "

@@ -10,9 +10,11 @@ Two independent routes to exact answers:
   truncated tree's edges, weighting each by p^(#open) q^(#closed).  Node
   and leaf counts are read straight off the edge bits, all assignments at
   once, with no cluster built and no call to the sampler's ``tally`` (a
-  test checks ``tally`` against them); each distinct leaf-count row is
-  measured by ``infomeasure.row_measures``.  A mean is one exact integer
-  sum over the groups of assignments that add the same product to it.
+  test checks ``tally`` against them).  They go into one read-only table
+  per depth, built once whatever p is, with the histograms that group the
+  assignments adding the same product to a mean; each distinct leaf-count
+  row is measured by ``infomeasure.row_measures``.  A mean is one exact
+  integer sum over those groups.
 
 Both are deliberately capped at small sizes; they exist to validate the
 closed forms and the sampler, not to scale.
@@ -103,10 +105,14 @@ def joint_leaf_distribution(params: ModelParams, n: int) -> np.ndarray:
 
 
 @functools.cache
-def _enumerated_tallies(depth: int) -> tuple[np.ndarray, ...]:
-    """What enumerations at ``depth`` share whatever p is, read-only: per
-    configuration its open-edge count, its node-count row N_0..N_d
-    and the index of its leaf-count row L_0..L_{d-1} among the distinct ones.
+def _enumerated_tallies(depth: int) -> tuple:
+    """Everything enumerations at ``depth`` share whatever p is, in one
+    read-only table: per configuration its open-edge count, its node-count
+    row N_0..N_d and the index of its leaf-count row L_0..L_{d-1} among the
+    distinct ones; those distinct rows; and how many configurations share
+    each product of a weighted mean.  Entry [k, n] of a histogram counts the
+    configurations with k open edges and N_g = n (g <= depth), then L_g = n
+    (g < depth); entry [k, n] of the last, those with leaf row n.
 
     Edge e of the heap-indexed tree joins node e // 2 to node e + 1 and is
     open iff bit e of the configuration's mask is set.  A node is live iff
@@ -129,25 +135,15 @@ def _enumerated_tallies(depth: int) -> tuple[np.ndarray, ...]:
     # L_g <= 2^g < 2^depth, so the row's digits in base 2^depth key it
     keys = leaves @ (1 << depth) ** np.arange(depth)
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    leaf_rows = leaves[first]
-    for array in (opened, node_rows, leaf_rows, inverse):
-        array.flags.writeable = False
-    return opened, node_rows, leaf_rows, inverse
-
-
-@functools.cache
-def _group_counts(depth: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """How many configurations at ``depth`` share each product of a weighted
-    mean, read-only: entry [k, n] counts those with k open edges and N_g = n
-    (g <= depth), then L_g = n (g < depth); the last, those with leaf row n."""
-    opened, node_rows, leaf_rows, inverse = _enumerated_tallies(depth)
     key, groups = opened.astype(np.intp), []
-    for column in [*node_rows.T, *leaf_rows[inverse].T, inverse]:
+    for column in [*node_rows.T, *leaves.T, inverse]:
         width = int(column.max()) + 1
-        counts = np.bincount(key * width + column, minlength=(2 ** (depth + 1) - 1) * width)
+        counts = np.bincount(key * width + column, minlength=(n_edges + 1) * width)
         groups.append(counts.reshape(-1, width))
-        groups[-1].flags.writeable = False
-    return tuple(groups[:-1]), groups[-1]
+    leaf_rows = leaves[first]
+    for array in (opened, node_rows, leaf_rows, inverse, *groups):
+        array.flags.writeable = False
+    return opened, node_rows, leaf_rows, inverse, tuple(groups[:-1]), groups[-1]
 
 
 def _exact_sum(counts: np.ndarray, values: np.ndarray) -> float:
@@ -167,18 +163,18 @@ def exact_enumeration(params: ModelParams, depth: int) -> ExactStats:
     Each configuration is weighted by w_k = p^k q^(E-k) for its k open edges
     out of *all* edges of the truncated tree.  Its node and leaf counts come
     from its edge bits alone and do not depend on p, so they are worked out
-    once per depth and kept, grouped by (k, value); each distinct leaf-count
-    row is measured by :func:`~perccode.infomeasure.row_measures`.  A mean is
-    one exact sum of count * fl(w_k * value) over at most (E + 1) x 10 groups,
-    rounded once: the bits ``math.fsum`` gives over all 2^E products.
+    once per depth and kept in one table, grouped by (k, value); each
+    distinct leaf-count row is measured by
+    :func:`~perccode.infomeasure.row_measures`.  A mean is one exact sum of
+    count * fl(w_k * value) over at most (E + 1) x 10 groups, rounded once:
+    the bits ``math.fsum`` gives over all 2^E products.
     """
     if integer("depth", depth, 0) > MAX_ENUM_DEPTH:
         raise SizeError(f"depth {depth} exceeds cap {MAX_ENUM_DEPTH}")
     p, q = params.p, params.q
-    n_edges = 2 ** (depth + 1) - 2
-    opened, node_rows, leaf_rows, _ = _enumerated_tallies(depth)
-    count_groups, row_groups = _group_counts(depth)
-    # a configuration's weight depends only on how many edges it opens
+    opened, node_rows, leaf_rows, _, count_groups, row_groups = _enumerated_tallies(depth)
+    # a configuration's weight depends only on how many of its E edges it opens
+    n_edges = len(row_groups) - 1
     w = np.array([p**k * q ** (n_edges - k) for k in range(n_edges + 1)])
     weights = w[opened]  # bincount adds them in mask order, one configuration at a time
     node_hist = [np.bincount(column, weights=weights) for column in node_rows.T]

@@ -23,13 +23,40 @@ def test_params_derived_constants():
     assert m.u1 == m.p0
 
 
+def _assert_exact_constants(p):
+    m = ModelParams(p)
+    q = 1.0 - p
+    assert m.q == q and m.mu == 2.0 * p
+    assert m.p0 == m.u1 == q * q
+    assert m.p1 == 2.0 * p * q
+    assert m.p2 == p * p
+    assert m.u0 == 2.0 * p * q + p * p
+
+
 @given(st.floats(min_value=0.0, max_value=1.0))
 def test_params_probability_partitions(p):
+    _assert_exact_constants(p)
     m = ModelParams(p)
     assert m.q == 1.0 - p
     assert m.p0 + m.p1 + m.p2 == pytest.approx(1.0, abs=1e-12)
     assert m.u0 + m.u1 == pytest.approx(1.0, abs=1e-12)
     assert m.mu == pytest.approx(2.0 * p, abs=1e-12)
+
+
+# p where the products are extreme (0, the least subnormal, 2^-53 and 1 - 2^-53,
+# 1) or the tree is sub-, near- and supercritical
+@pytest.mark.parametrize("p", [0.0, 5e-324, 2.0**-53, 0.3, 0.5, 0.6, 1.0 - 2.0**-53, 1.0])
+def test_params_derived_constants_are_exact(p):
+    _assert_exact_constants(p)
+
+
+def test_params_are_frozen_values_of_p():
+    m = ModelParams(0.6)
+    for name in ("p", "q"):
+        with pytest.raises(AttributeError):
+            setattr(m, name, 0.5)
+    assert m == ModelParams(0.6) and hash(m) == hash(ModelParams(0.6))
+    assert m != ModelParams(0.5)
 
 
 @pytest.mark.parametrize("bad", [-0.1, 1.1, float("nan")])
@@ -271,6 +298,11 @@ def test_lambda_mean_matches_series(p):
 
 def test_lambda_var_examples():
     assert analytic.lambda_var(ModelParams(0.5)) == pytest.approx(0.25, abs=1e-12)
+    # the general formula, with no case of its own at p = 1/2, is exact there
+    assert analytic.lambda_var(ModelParams(0.5)) == 0.25
+    for p in (np.nextafter(0.5, 0), np.nextafter(0.5, 1)):
+        near = analytic.lambda_var(ModelParams(p))
+        assert math.isfinite(near) and abs(near - 0.25) <= 1e-12
     assert analytic.lambda_var(ModelParams(0.6)) == pytest.approx(
         0.04608 / (0.136 * 0.28), abs=1e-5
     )
@@ -365,7 +397,7 @@ TRANSFORM_POINTS = np.array(
 @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 0.6, 0.9, 1.0])
 @pytest.mark.parametrize("depth", range(4))
 def test_leaf_weight_transform_matches_enumeration(p, depth):
-    opened, _, leaf_rows, inverse = oracle._enumerated_tallies(depth)
+    opened, _, leaf_rows, inverse = oracle._enumerated_tallies(depth)[:4]
     n_edges = 2 ** (depth + 1) - 2
     weights = np.array([p**k * (1.0 - p) ** (n_edges - k) for k in range(n_edges + 1)])[opened]
     powers = np.array([p**n for n in range(depth)])

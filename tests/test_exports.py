@@ -1,9 +1,12 @@
 import ast
 import importlib
+import inspect
 import pkgutil
+import sys
 from pathlib import Path
 
 import perccode
+from perccode import cli
 
 
 def test_every_export_resolves():
@@ -109,3 +112,72 @@ def test_every_name_the_benchmark_reads_off_the_package_exists():
                         missing.append(f"{source}: {module}.{node.attr}")
     assert read > 10
     assert missing == []
+
+
+# Public names no subcommand runs, each with why it stays in the library.  An
+# entry the subcommands do reach, or that names nothing public, fails the gate.
+UNREACHED_ALLOWED = {
+    "analytic.pgf_eval": "exact reference",
+    "analytic.leaf_pgf_eval": "exact reference",
+    "analytic.pgf_iterate": "exact reference",
+    "analytic.node_moments": "exact reference",
+    "analytic.leaf_moments": "exact reference",
+    "oracle.node_distribution": "exact reference",
+    "oracle.joint_leaf_distribution": "exact reference",
+    "percolate.tally": "benchmark probe",
+    "percolate.sample_tally": "benchmark probe",
+    "infomeasure.measures": "benchmark probe",
+    "codec.encode": "public codec API",
+    "codec.kraft_sum": "public codec API",
+    "codec.CodeBook.generations": "public codec API",
+}
+
+
+def _public_code() -> dict:
+    """The code object of each plain function, and each public method of a
+    class, that a module of the package names in its ``__all__``."""
+    found = {}
+    for info in pkgutil.iter_modules(perccode.__path__):
+        module = importlib.import_module(f"perccode.{info.name}")
+        for name in module.__all__:
+            obj = inspect.unwrap(getattr(module, name))
+            if inspect.isfunction(obj):
+                found[f"{info.name}.{name}"] = obj.__code__
+            elif inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    if inspect.isfunction(member) and not attr.startswith("_"):
+                        found[f"{info.name}.{name}.{attr}"] = member.__code__
+    return found
+
+
+def test_every_public_function_is_reached_by_a_subcommand(tmp_path):
+    # all seven subcommands in-process, each function entered noted by a profile hook
+    cluster, book = str(tmp_path / "cluster.json"), str(tmp_path / "book.txt")
+    entered = set()
+
+    def note(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(note)
+    try:
+        for argv in (
+            ["analytic", "--p", "0.3", "--p", "0.5", "--p", "0.65"],
+            ["sample", "--p", "0.6", "--depth", "8", "--seed", "4", "--out", cluster],
+            ["sample", "--p", "0.6", "--depth", "8", "--seed", "4", "--format", "dot"],
+            ["codebook", "--p", "0.6", "--depth", "8", "--seed", "4", "--weights"],
+            ["codebook", "--cluster", cluster, "--out", book],
+            ["ensemble", "--p", "0.6", "--depth", "8", "--samples", "200"],
+            ["sweep", "--p", "0.5", "--p", "0.6", "--depth", "6", "--samples", "100"],
+            ["oracle", "--p", "0.6", "--depth", "2"],
+        ):
+            assert cli.main(argv) == 0, argv
+        bits = "".join(Path(book).read_text(encoding="ascii").split()[:2])
+        assert cli.main(["decode", "--book", book, "--bits", bits]) == 0
+    finally:
+        sys.setprofile(previous)
+    unreached = {name for name, code in _public_code().items() if code not in entered}
+    assert sorted(unreached - UNREACHED_ALLOWED.keys()) == []
+    stale = [name for name in UNREACHED_ALLOWED if name not in unreached]
+    assert stale == []

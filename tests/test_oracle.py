@@ -14,7 +14,6 @@ from perccode.oracle import (
     SizeError,
     _enumerated_tallies,
     _exact_sum,
-    _group_counts,
     exact_enumeration,
     joint_leaf_distribution,
     node_distribution,
@@ -96,7 +95,7 @@ def fsum_enumeration(params: ModelParams, depth: int) -> ExactStats:
     float row per configuration, with nothing grouped."""
     p, q = params.p, params.q
     n_edges = 2 ** (depth + 1) - 2
-    opened, node_rows, leaf_rows, inverse = _enumerated_tallies(depth)
+    opened, node_rows, leaf_rows, inverse = _enumerated_tallies(depth)[:4]
     weights = np.array([p**k * q ** (n_edges - k) for k in range(n_edges + 1)])[opened]
     nodes = node_rows.astype(float)
     leaves = leaf_rows.astype(float)[inverse]
@@ -216,7 +215,7 @@ def test_joint_upper_triangle_is_zero():
 def test_joint_is_the_weighted_histogram_of_the_enumerated_masks(p, n):
     # an independent route to the thinned law: every edge mask of the depth-3
     # tree, weighted p^open q^closed, counted at its own (N_n, L_n)
-    opened, node_rows, leaf_rows, inverse = _enumerated_tallies(3)
+    opened, node_rows, leaf_rows, inverse = _enumerated_tallies(3)[:4]
     n_edges = 2**4 - 2
     weights = np.array([p**k * (1.0 - p) ** (n_edges - k) for k in range(n_edges + 1)])
     hist = np.zeros((2**n + 1, 2**n + 1))
@@ -336,12 +335,10 @@ def test_enumerated_clusters_are_shared_read_only(depth):
     # every p at one depth gets the same arrays, so none may be written
     exact_enumeration(ModelParams(0.4), depth)
     shared = _enumerated_tallies(depth)
-    groups = _group_counts(depth)
     exact_enumeration(ModelParams(0.7), depth)
     assert _enumerated_tallies(depth) is shared
-    assert _group_counts(depth) is groups
-    count_groups, row_groups = groups
-    for array in (*shared, *count_groups, row_groups):
+    *per_mask, count_groups, row_groups = shared
+    for array in (*per_mask, *count_groups, row_groups):
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
 
@@ -349,8 +346,7 @@ def test_enumerated_clusters_are_shared_read_only(depth):
 @pytest.mark.parametrize("depth", range(4))
 def test_group_counts_are_the_histograms_of_the_masks(depth):
     # entry [k, n] counts the masks with k open edges and value n, one mask at a time
-    opened, node_rows, leaf_rows, inverse = _enumerated_tallies(depth)
-    count_groups, row_groups = _group_counts(depth)
+    opened, node_rows, leaf_rows, inverse, count_groups, row_groups = _enumerated_tallies(depth)
     columns = [*node_rows.T, *leaf_rows[inverse].T, inverse]
     assert len(count_groups) + 1 == len(columns) == 2 * depth + 2
     for counts, column in zip((*count_groups, row_groups), columns):
@@ -362,7 +358,7 @@ def test_group_counts_are_the_histograms_of_the_masks(depth):
 
 @pytest.mark.parametrize("depth", range(4))
 def test_mask_counts_are_the_tally_of_each_configuration(depth):
-    opened, nodes, leaf_rows, inverse = _enumerated_tallies(depth)
+    opened, nodes, leaf_rows, inverse = _enumerated_tallies(depth)[:4]
     assert len(opened) == len(nodes) == len(inverse) == 1 << (2 ** (depth + 1) - 2)
     for mask in range(len(opened)):
         want = tally(cluster_from_mask(mask, depth))
